@@ -1,17 +1,12 @@
-//! Microbench: the counting backends head-to-head on the three fill
-//! shapes the learners produce — the batched depth-0 marginal sweep, a
-//! depth-2 CI-test group, and a score sufficient-statistics batch — each
-//! once per engine (`ForceTiled` vs `ForceBitmap`), so the bench gate
-//! tracks both sides of the `EngineSelect::Auto` flip point.
+//! Microbench: the counting backends head-to-head on a score
+//! sufficient-statistics batch, once per engine (`ForceTiled` vs
+//! `ForceBitmap`), so the bench gate tracks both sides of the
+//! `EngineSelect::Auto` flip point; plus the raw AND+popcount kernel
+//! tiers and the bitmap-index build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbn_core::skeleton::common::{build_tasks, CiEngine};
-use fastbn_core::skeleton::steal_par::run_depth0_batched;
-use fastbn_core::PcConfig;
 use fastbn_data::{set_default_index_kind, BitmapIndex, IndexKind, Layout};
-use fastbn_graph::UGraph;
 use fastbn_network::zoo;
-use fastbn_parallel::Team;
 use fastbn_score::{LocalScorer, ScoreKind};
 use fastbn_stats::simd::{self, SimdTier};
 use fastbn_stats::EngineSelect;
@@ -37,95 +32,6 @@ fn word_stream(seed: u64) -> impl FnMut() -> u64 {
         s ^= s << 17;
         s.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
-}
-
-/// All `n(n−1)/2` depth-0 marginal tables of the alarm replica in one
-/// batched sweep at t = 2 — the bitmap engine's best case (tiny tables,
-/// one popcount stripe each).
-fn bench_depth0(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engines");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-
-    let net = zoo::by_name("alarm", 3).expect("zoo network");
-    let data = net.sample_dataset(1000, 17);
-    data.bitmap_index(); // both kernels measure steady state, not the build
-    pin_scalar();
-
-    for engine in ENGINES {
-        let cfg = PcConfig::fast_bns_steal()
-            .with_threads(2)
-            .with_count_engine(engine);
-        let tasks = build_tasks(&UGraph::complete(data.n_vars()), 0, &cfg);
-        group.bench_function(
-            BenchmarkId::new(format!("depth0_{}_t2", engine.name()), "alarm_1k"),
-            |b| {
-                b.iter(|| {
-                    let (removals, performed, _) = Team::scoped(2, |team| {
-                        run_depth0_batched(team, &data, &cfg, tasks.clone())
-                    });
-                    black_box((removals.len(), performed))
-                })
-            },
-        );
-    }
-    simd::set_forced_tier(None);
-    group.finish();
-}
-
-/// A depth-2 group of 8 CI tests for one edge through
-/// `CiEngine::run_batch` — the steal scheduler's gs-group shape.
-fn bench_ci_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engines");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-
-    let net = zoo::by_name("alarm", 3).expect("zoo network");
-    let data = net.sample_dataset(4000, 17);
-    data.bitmap_index();
-    pin_scalar();
-    let (u, v) = (1usize, 5usize);
-    let conds: Vec<[usize; 2]> = (0..8)
-        .map(|i| {
-            let a = 7 + (i % 4);
-            let b = 12 + (i % 5);
-            [a, b]
-        })
-        .collect();
-    let conds_flat: Vec<usize> = conds.iter().flatten().copied().collect();
-
-    for engine in ENGINES {
-        let cfg = PcConfig::fast_bns_seq().with_count_engine(engine);
-        group.bench_function(
-            BenchmarkId::new(format!("ci_batch_{}", engine.name()), "g8d2"),
-            |b| {
-                let mut ci = CiEngine::new(&data, &cfg);
-                let mut decisions = Vec::new();
-                b.iter(|| {
-                    decisions.clear();
-                    ci.run_batch(u, v, 2, conds.len(), &conds_flat, &mut decisions);
-                    black_box(decisions.iter().filter(|&&x| x).count())
-                })
-            },
-        );
-    }
-
-    // Same batch under the best kernel tier the host detects — the
-    // SIMD side of the `ci_batch_bitmap` (scalar) baseline pair.
-    simd::set_forced_tier(None);
-    let cfg = PcConfig::fast_bns_seq().with_count_engine(EngineSelect::ForceBitmap);
-    group.bench_function(BenchmarkId::new("ci_batch_simd", "g8d2"), |b| {
-        let mut ci = CiEngine::new(&data, &cfg);
-        let mut decisions = Vec::new();
-        b.iter(|| {
-            decisions.clear();
-            ci.run_batch(u, v, 2, conds.len(), &conds_flat, &mut decisions);
-            black_box(decisions.iter().filter(|&&x| x).count())
-        })
-    });
-    group.finish();
 }
 
 /// Eight candidate parent sets of one child scored in one batch — the
@@ -263,8 +169,6 @@ fn bench_index_build(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_depth0,
-    bench_ci_batch,
     bench_score_batch,
     bench_and_popcount_kernel,
     bench_index_build

@@ -1,19 +1,11 @@
-//! Microbench: the observability hot paths, and their cost inside a
-//! real instrumented kernel.
+//! Microbench: the observability hot paths.
 //!
-//! Three kernels: a bare counter increment (the cost every always-on
-//! metric pays per event), a span enter/exit pair (paid only when
+//! Two kernels: a bare counter increment (the cost every always-on
+//! metric pays per event) and a span enter/exit pair (paid only when
 //! `FASTBN_TRACE` is on — here forced on so the bench measures the
-//! worst case), and the batched CI kernel from `steal.rs` with all of
-//! its engine instrumentation live. The last one is the bench-gate
-//! guard: if instrumentation ever creeps into the per-count hot loop,
-//! this kernel regresses alongside `batched_ci` and `bench_diff`
-//! flags it.
+//! worst case).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbn_core::skeleton::common::CiEngine;
-use fastbn_core::PcConfig;
-use fastbn_network::zoo;
 use fastbn_obs::{counter, span};
 use std::hint::black_box;
 use std::time::Duration;
@@ -48,38 +40,5 @@ fn bench_metric_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_instrumented_ci(c: &mut Criterion) {
-    let mut group = c.benchmark_group("obs");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-
-    // The g8d2 batch from steal.rs, run with every always-on engine
-    // metric (per-query pick counters, fill_batch histogram) live.
-    let net = zoo::by_name("alarm", 3).expect("zoo network");
-    let data = net.sample_dataset(4000, 17);
-    let cfg = PcConfig::fast_bns_seq();
-    let (u, v) = (1usize, 5usize);
-    let conds: Vec<[usize; 2]> = (0..8)
-        .map(|i| {
-            let a = 7 + (i % 4);
-            let b = 12 + (i % 5);
-            [a, b]
-        })
-        .collect();
-    let conds_flat: Vec<usize> = conds.iter().flatten().copied().collect();
-
-    group.bench_function(BenchmarkId::new("instrumented_ci_batch", "g8d2"), |b| {
-        let mut engine = CiEngine::new(&data, &cfg);
-        let mut decisions = Vec::new();
-        b.iter(|| {
-            decisions.clear();
-            engine.run_batch(u, v, 2, conds.len(), &conds_flat, &mut decisions);
-            black_box(decisions.iter().filter(|&&x| x).count())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_metric_primitives, bench_instrumented_ci);
+criterion_group!(benches, bench_metric_primitives);
 criterion_main!(benches);

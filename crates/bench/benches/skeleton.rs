@@ -20,10 +20,6 @@ fn bench_skeleton(c: &mut Criterion) {
         ("fastbns_seq", PcConfig::fast_bns_seq()),
         ("fastbns_ci_t2", PcConfig::fast_bns().with_threads(2)),
         (
-            "fastbns_steal_t2",
-            PcConfig::fast_bns_steal().with_threads(2),
-        ),
-        (
             "edge_level_t2",
             PcConfig::fast_bns()
                 .with_mode(ParallelMode::EdgeLevel)

@@ -1,12 +1,10 @@
-//! Microbench: what the `DataStore` seam costs — the learners' two hot
-//! fill shapes (a CI-test group, a score sufficient-statistics batch)
-//! over the resident store vs. a `ChunkedStore` at a realistic chunk
-//! size, plus the daemon-side payoff: a cached `Learn` round trip by
-//! upload-once handle vs. reshipping the full dataset inline.
+//! Microbench: what the `DataStore` seam costs — a score
+//! sufficient-statistics batch over the resident store vs. a
+//! `ChunkedStore` at a realistic chunk size — plus the daemon-side
+//! payoff: a cached `Learn` round trip by upload-once handle vs.
+//! reshipping the full dataset inline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbn_core::skeleton::common::CiEngine;
-use fastbn_core::PcConfig;
 use fastbn_data::{ChunkedStore, DataStore, Dataset, Layout};
 use fastbn_network::zoo;
 use fastbn_score::{LocalScorer, ScoreKind};
@@ -20,37 +18,6 @@ fn alarm_data(rows: usize) -> Dataset {
     zoo::by_name("alarm", 3)
         .expect("zoo network")
         .sample_dataset(rows, 17)
-}
-
-/// The depth-2 gs-group CI-test shape from `benches/engines.rs`, run
-/// once per store backend: the delta is the chunk loop + merge cost.
-fn bench_ci_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-
-    let data = alarm_data(4000);
-    data.bitmap_index();
-    let chunked = ChunkedStore::from_dataset(&data, CHUNK_ROWS, usize::MAX);
-    let (u, v) = (1usize, 5usize);
-    let conds: Vec<[usize; 2]> = (0..8).map(|i| [7 + (i % 4), 12 + (i % 5)]).collect();
-    let conds_flat: Vec<usize> = conds.iter().flatten().copied().collect();
-
-    let stores: [(&str, &dyn DataStore); 2] = [("resident", &data), ("chunked512", &chunked)];
-    for (label, store) in stores {
-        let cfg = PcConfig::fast_bns_seq();
-        group.bench_function(BenchmarkId::new(format!("ci_batch_{label}"), "g8d2"), |b| {
-            let mut ci = CiEngine::new(store, &cfg);
-            let mut decisions = Vec::new();
-            b.iter(|| {
-                decisions.clear();
-                ci.run_batch(u, v, 2, conds.len(), &conds_flat, &mut decisions);
-                black_box(decisions.iter().filter(|&&x| x).count())
-            })
-        });
-    }
-    group.finish();
 }
 
 /// Eight candidate parent sets scored in one batch, per store backend.
@@ -141,10 +108,5 @@ fn bench_handle_learn(c: &mut Criterion) {
     handle.join().expect("daemon exits");
 }
 
-criterion_group!(
-    benches,
-    bench_ci_batch,
-    bench_score_batch,
-    bench_handle_learn
-);
+criterion_group!(benches, bench_score_batch, bench_handle_learn);
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Microbench: dynamic work-pool scheduling vs. static chunking under a
 //! skewed task-size distribution — the load-balancing mechanism of §IV-B
-//! in isolation (no statistics, pure scheduling).
+//! in isolation (no statistics, pure scheduling) — plus the sharded,
+//! work-stealing pool the score search and junction tree fan out over.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbn_parallel::{chunk_ranges, run_pool, StepResult, Team, WorkPool};
+use fastbn_parallel::{chunk_ranges, run_steal_pool, shard_by_key, StealPool, StepResult, Team};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -27,6 +28,26 @@ fn task_sizes(n: usize) -> Vec<u32> {
         .collect()
 }
 
+/// Drain `pool` on `threads` workers; each step processes up to 8 units
+/// then requeues, like a group size of 8.
+fn drain(pool: &StealPool<(usize, u32)>, threads: usize) -> u64 {
+    let acc = AtomicU64::new(0);
+    Team::scoped(threads, |team| {
+        run_steal_pool(team, pool, |_tid, (id, remaining)| {
+            let burst = remaining.min(8);
+            for i in 0..burst {
+                acc.fetch_add(unit_work(id as u64 + i as u64), Ordering::Relaxed);
+            }
+            if remaining <= burst {
+                StepResult::Done
+            } else {
+                StepResult::Continue((id, remaining - burst))
+            }
+        });
+    });
+    acc.into_inner()
+}
+
 fn bench_scheduling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduling");
     group
@@ -40,24 +61,9 @@ fn bench_scheduling(c: &mut Criterion) {
         &sizes,
         |b, sizes| {
             b.iter(|| {
-                let acc = AtomicU64::new(0);
+                // One shard: the CI-level scheduler's shared stack.
                 let tasks: Vec<(usize, u32)> = sizes.iter().copied().enumerate().collect();
-                let pool = WorkPool::from_tasks(tasks);
-                Team::scoped(threads, |team| {
-                    // Group size 8: process 8 units then requeue, like gs=8.
-                    run_pool(team, &pool, |_tid, (id, remaining)| {
-                        let burst = remaining.min(8);
-                        for i in 0..burst {
-                            acc.fetch_add(unit_work(id as u64 + i as u64), Ordering::Relaxed);
-                        }
-                        if remaining <= burst {
-                            StepResult::Done
-                        } else {
-                            StepResult::Continue((id, remaining - burst))
-                        }
-                    });
-                });
-                black_box(acc.into_inner())
+                black_box(drain(&StealPool::from_shards(vec![tasks]), threads))
             })
         },
     );
@@ -79,6 +85,23 @@ fn bench_scheduling(c: &mut Criterion) {
                     });
                 });
                 black_box(acc.into_inner())
+            })
+        },
+    );
+    group.finish();
+
+    let mut group = c.benchmark_group("steal");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    group.bench_with_input(
+        BenchmarkId::new("stealing_deques", "skewed256"),
+        &sizes,
+        |b, sizes| {
+            b.iter(|| {
+                let tasks: Vec<(usize, u32)> = sizes.iter().copied().enumerate().collect();
+                let shards = shard_by_key(tasks, threads, |t| t.0 % 32, |t| t.1 as u64);
+                black_box(drain(&StealPool::from_shards(shards), threads))
             })
         },
     );

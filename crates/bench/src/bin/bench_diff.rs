@@ -8,7 +8,7 @@
 //! can be promoted to a baseline with `update`.
 //!
 //! ```sh
-//! CRITERION_JSON=measured.jsonl cargo bench --bench gsq --bench steal
+//! CRITERION_JSON=measured.jsonl cargo bench --bench gsq --bench workpool
 //! cargo run -p fastbn-bench --bin bench_diff -- check \
 //!     --measured measured.jsonl --baseline crates/bench/baseline.json
 //! cargo run -p fastbn-bench --bin bench_diff -- update \

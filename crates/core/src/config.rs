@@ -24,14 +24,6 @@ pub enum ParallelMode {
     /// Fast-BNS: groups of CI tests scheduled through the dynamic work
     /// pool.
     CiLevel,
-    /// CI-level parallelism over work-stealing sharded deques with batched
-    /// CI-test execution: tasks are adjacency-sharded onto per-thread
-    /// deques (edges touching the same vertex colocate, keeping its data
-    /// columns cache-warm), idle threads steal, and each group of `gs`
-    /// tests fills its contingency tables in one shared pass over the
-    /// samples. Same results as every other mode, by construction and by
-    /// the cross-impl test suite.
-    WorkSteal,
 }
 
 impl ParallelMode {
@@ -42,7 +34,6 @@ impl ParallelMode {
             ParallelMode::EdgeLevel => "edge-level",
             ParallelMode::SampleLevel => "sample-level",
             ParallelMode::CiLevel => "ci-level",
-            ParallelMode::WorkSteal => "steal",
         }
     }
 }
@@ -149,17 +140,6 @@ impl PcConfig {
         Self {
             mode: ParallelMode::Sequential,
             threads: 1,
-            ..Self::fast_bns()
-        }
-    }
-
-    /// The work-stealing configuration: Fast-BNS with the sharded stealing
-    /// scheduler and batched CI-test execution. Wins over plain
-    /// [`Self::fast_bns`] grow with network width (more edges per depth)
-    /// and thread count (less pool-lock contention).
-    pub fn fast_bns_steal() -> Self {
-        Self {
-            mode: ParallelMode::WorkSteal,
             ..Self::fast_bns()
         }
     }
@@ -299,7 +279,6 @@ mod tests {
         assert_eq!(ParallelMode::CiLevel.name(), "ci-level");
         assert_eq!(ParallelMode::EdgeLevel.name(), "edge-level");
         assert_eq!(ParallelMode::SampleLevel.name(), "sample-level");
-        assert_eq!(ParallelMode::WorkSteal.name(), "steal");
     }
 
     #[test]
@@ -308,15 +287,5 @@ mod tests {
         assert_eq!(c.count_engine, EngineSelect::Auto);
         let c = c.with_count_engine(EngineSelect::ForceBitmap);
         assert_eq!(c.count_engine, EngineSelect::ForceBitmap);
-    }
-
-    #[test]
-    fn steal_preset_differs_only_in_mode() {
-        let steal = PcConfig::fast_bns_steal();
-        let base = PcConfig::fast_bns();
-        assert_eq!(steal.mode, ParallelMode::WorkSteal);
-        assert_eq!(steal.alpha, base.alpha);
-        assert_eq!(steal.group_size, base.group_size);
-        assert_eq!(steal.threads, base.threads);
     }
 }

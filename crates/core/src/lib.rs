@@ -16,7 +16,6 @@
 //! | [`ParallelMode::EdgeLevel`]   | coarse       | static `\|Ed\|/t` edge partition |
 //! | [`ParallelMode::SampleLevel`] | fine         | samples of each CI test split across threads |
 //! | [`ParallelMode::CiLevel`]     | intermediate | **dynamic work pool** of (edge, progress) tasks, groups of `gs` CI tests |
-//! | [`ParallelMode::WorkSteal`]   | intermediate | adjacency-sharded **work-stealing deques** + batched CI-test execution |
 //!
 //! All modes produce *identical* skeletons, separating sets and CPDAGs —
 //! the paper's "accuracy is exactly the same" claim, enforced by this

@@ -42,10 +42,10 @@ impl Default for HybridConfig {
 }
 
 impl HybridConfig {
-    /// Fast-BNS skeleton (work-stealing scheduler) + default hill climb.
+    /// Fast-BNS skeleton (CI-level scheduler) + default hill climb.
     pub fn fast_bns() -> Self {
         Self {
-            pc: PcConfig::fast_bns_steal(),
+            pc: PcConfig::fast_bns(),
             hc: HillClimbConfig::default(),
         }
     }
@@ -525,7 +525,7 @@ mod tests {
         use std::sync::atomic::Ordering;
         let (_, data) = workload();
         for strategy in [
-            Strategy::PcStable(PcConfig::fast_bns_steal()),
+            Strategy::PcStable(PcConfig::fast_bns()),
             Strategy::HillClimb(HillClimbConfig::default()),
             Strategy::Hybrid(HybridConfig::fast_bns()),
         ] {

@@ -1,5 +1,6 @@
-//! Machinery shared by all four skeleton schedulers: edge tasks, the CI
-//! engine (contingency fill + test + counters), and group processing.
+//! Machinery shared by the skeleton schedulers: edge tasks, the CI engine
+//! (contingency fill + test + counters), group processing, and the
+//! per-depth task build and removal merge.
 
 use crate::combinations::{all_combinations, binomial, unrank_combination};
 use crate::config::{CondSetGen, PcConfig};
@@ -7,13 +8,10 @@ use crate::config::{CondSetGen, PcConfig};
 use fastbn_data::Dataset;
 use fastbn_data::{DataStore, Layout};
 use fastbn_graph::UGraph;
-use fastbn_parallel::StepResult;
 use fastbn_stats::citest::run_ci_test;
 use fastbn_stats::{
-    mixed_radix_strides, BatchedCiRunner, CiTestKind, ContingencyTable, CountingBackend, DfRule,
-    FillSpec,
+    mixed_radix_strides, CiTestKind, ContingencyTable, CountingBackend, DfRule, FillSpec,
 };
-use parking_lot::Mutex;
 
 /// One schedulable unit of the skeleton phase: an edge (or an ordered
 /// direction of an edge when endpoint grouping is off) together with its
@@ -235,15 +233,6 @@ pub struct CiEngine<'d, O: CiObserver = NoObserver> {
     cond_buf: Vec<usize>,
     combo_buf: Vec<usize>,
     zmul_buf: Vec<usize>,
-    /// Batch-mode state: the table arena plus flat per-batch scratch
-    /// (strides, slot map, resolved conditioning sets, decisions). All
-    /// reused across batches; untouched by the single-test path.
-    batch: BatchedCiRunner,
-    batch_zmul: Vec<usize>,
-    batch_slots: Vec<Option<usize>>,
-    batch_active: Vec<usize>,
-    group_conds: Vec<usize>,
-    group_decisions: Vec<bool>,
     /// CI tests actually performed.
     pub performed: u64,
     /// Tests skipped because the table would exceed `max_cells` (edge kept).
@@ -273,12 +262,6 @@ impl<'d, O: CiObserver> CiEngine<'d, O> {
             cond_buf: Vec::new(),
             combo_buf: Vec::new(),
             zmul_buf: Vec::new(),
-            batch: BatchedCiRunner::new(),
-            batch_zmul: Vec::new(),
-            batch_slots: Vec::new(),
-            batch_active: Vec::new(),
-            group_conds: Vec::new(),
-            group_decisions: Vec::new(),
             performed: 0,
             skipped: 0,
             observer,
@@ -322,124 +305,22 @@ impl<'d, O: CiObserver> CiEngine<'d, O> {
     /// engine's buffer and return it. Under on-the-fly generation this is a
     /// combination unranking; under precomputation it is a slice copy.
     pub fn resolve_cond(&mut self, task: &EdgeTask, r: u64, d: usize) -> &[usize] {
-        let mut buf = std::mem::take(&mut self.cond_buf);
-        buf.clear();
-        self.resolve_cond_into(task, r, d, &mut buf);
-        self.cond_buf = buf;
-        &self.cond_buf
-    }
-
-    /// [`CiEngine::resolve_cond`], appending to a caller-owned buffer — the
-    /// batched path resolves a whole group into one flat `d`-strided vector.
-    pub fn resolve_cond_into(&mut self, task: &EdgeTask, r: u64, d: usize, out: &mut Vec<usize>) {
+        self.cond_buf.clear();
         if let Some(pre) = &task.precomputed {
             let start = r as usize * d;
-            out.extend(pre[start..start + d].iter().map(|&x| x as usize));
-            return;
-        }
-        let (pool, rank): (&[u32], u64) = if r < task.n1 {
-            (&task.cand1, r)
+            self.cond_buf
+                .extend(pre[start..start + d].iter().map(|&x| x as usize));
         } else {
-            (&task.cand2, r - task.n1)
-        };
-        unrank_combination(pool.len(), d, rank, &mut self.combo_buf);
-        out.extend(self.combo_buf.iter().map(|&i| pool[i] as usize));
-    }
-
-    /// Run the CI tests `I(u, v | conds_flat[t·d .. (t+1)·d])` for
-    /// `t in 0..n_tests` over **one pass** of the dataset, pushing one
-    /// decision per test into `out` (`true` = independence accepted).
-    ///
-    /// This is the batched counterpart of [`CiEngine::run`]: instead of one
-    /// full sample sweep per test, the `X`/`Y` columns are read once per
-    /// sample and scattered into every test's contingency table, and the
-    /// whole batch is then evaluated through the [`BatchedCiRunner`] with
-    /// shared marginal scratch. Decisions, counters and observer calls are
-    /// identical to running the tests one by one.
-    pub fn run_batch(
-        &mut self,
-        u: usize,
-        v: usize,
-        d: usize,
-        n_tests: usize,
-        conds_flat: &[usize],
-        out: &mut Vec<bool>,
-    ) {
-        assert_eq!(
-            conds_flat.len(),
-            n_tests * d,
-            "conds_flat must be d-strided"
-        );
-        let data = self.data;
-        let rx = data.arity(u);
-        let ry = data.arity(v);
-
-        // Shape pass: reshape one arena slot per testable conditioning set;
-        // oversized tables are skipped (edge conservatively kept), exactly
-        // like the single-test path.
-        self.batch.begin();
-        let mut zmul_flat = std::mem::take(&mut self.batch_zmul);
-        let mut slots = std::mem::take(&mut self.batch_slots);
-        let mut zmul = std::mem::take(&mut self.zmul_buf);
-        let mut active_tests = std::mem::take(&mut self.batch_active);
-        zmul_flat.clear();
-        slots.clear();
-        active_tests.clear();
-        for t in 0..n_tests {
-            let cond = &conds_flat[t * d..(t + 1) * d];
-            match z_strides(data, cond, rx, ry, self.max_cells, &mut zmul) {
-                Some(nz) => {
-                    let slot = self.batch.add_table(rx, ry, nz.max(1));
-                    debug_assert_eq!(slot * d, zmul_flat.len());
-                    zmul_flat.extend_from_slice(&zmul);
-                    slots.push(Some(slot));
-                    active_tests.push(t);
-                }
-                None => {
-                    self.skipped += 1;
-                    slots.push(None);
-                }
-            }
+            let (pool, rank): (&[u32], u64) = if r < task.n1 {
+                (&task.cand1, r)
+            } else {
+                (&task.cand2, r - task.n1)
+            };
+            unrank_combination(pool.len(), d, rank, &mut self.combo_buf);
+            self.cond_buf
+                .extend(self.combo_buf.iter().map(|&i| pool[i] as usize));
         }
-        self.zmul_buf = zmul;
-
-        // Shared fill pass through the counting backend: the tiled engine
-        // sweeps the samples once for the whole batch (X/Y column tiles
-        // stay L1-resident across tests); the bitmap engine answers each
-        // table by AND + popcount against the cached sample-bitmap index.
-        // Identical counts either way.
-        if !active_tests.is_empty() {
-            let specs: Vec<FillSpec<'_>> = active_tests
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| FillSpec {
-                    x: u,
-                    y: Some(v),
-                    cond: &conds_flat[t * d..(t + 1) * d],
-                    zmul: &zmul_flat[i * d..(i + 1) * d],
-                })
-                .collect();
-            self.batch.fill(&mut self.count, data, self.layout, &specs);
-        }
-
-        // Bookkeeping mirrors the single-test path: one performed count and
-        // one observer record per non-skipped test, in rank order.
-        self.performed += active_tests.len() as u64;
-        for &t in &active_tests {
-            let cond = &conds_flat[t * d..(t + 1) * d];
-            self.observer.record(u as u32, v as u32, cond);
-        }
-
-        // Shared evaluation pass.
-        let outcomes = self.batch.run(self.test, self.alpha, self.df_rule);
-        out.extend(slots.iter().map(|slot| match slot {
-            Some(i) => outcomes[*i].independent,
-            None => false, // oversized ⇒ cannot test ⇒ edge kept
-        }));
-
-        self.batch_zmul = zmul_flat;
-        self.batch_slots = slots;
-        self.batch_active = active_tests;
+        &self.cond_buf
     }
 }
 
@@ -494,110 +375,6 @@ pub fn process_group<O: CiObserver>(
         task.progress = end;
         GroupOutcome::InProgress(task)
     }
-}
-
-/// [`process_group`] over the batched engine path: the group's conditioning
-/// sets are resolved up front and all `gs` tests run through
-/// [`CiEngine::run_batch`]'s single shared data pass. The decision rule is
-/// identical — the whole group executes (the redundancy Figure 4 measures),
-/// the first accepting test's separating set is recorded — so batched and
-/// unbatched schedulers produce byte-identical skeletons and sepsets.
-pub fn process_group_batched<O: CiObserver>(
-    engine: &mut CiEngine<'_, O>,
-    mut task: EdgeTask,
-    gs: u64,
-    d: usize,
-) -> GroupOutcome {
-    let total = task.total_tests();
-    let end = (task.progress + gs).min(total);
-    let n_tests = (end - task.progress) as usize;
-
-    // Resolve the group's conditioning sets into one flat d-strided buffer.
-    let mut conds = std::mem::take(&mut engine.group_conds);
-    conds.clear();
-    for r in task.progress..end {
-        engine.resolve_cond_into(&task, r, d, &mut conds);
-    }
-    let mut decisions = std::mem::take(&mut engine.group_decisions);
-    decisions.clear();
-    engine.run_batch(
-        task.u as usize,
-        task.v as usize,
-        d,
-        n_tests,
-        &conds,
-        &mut decisions,
-    );
-
-    // First accepting test in rank order wins, as in `process_group`.
-    let mut accepted: Option<Removal> = None;
-    for (i, &independent) in decisions.iter().enumerate() {
-        if independent {
-            let r = task.progress + i as u64;
-            accepted = Some(Removal {
-                u: task.u,
-                v: task.v,
-                sepset: conds[i * d..(i + 1) * d].to_vec(),
-                from_first_direction: r < task.n1,
-            });
-            break;
-        }
-    }
-    engine.group_conds = conds;
-    engine.group_decisions = decisions;
-
-    if let Some(removal) = accepted {
-        GroupOutcome::Removed(removal)
-    } else if end >= total {
-        GroupOutcome::Exhausted
-    } else {
-        task.progress = end;
-        GroupOutcome::InProgress(task)
-    }
-}
-
-/// Shared scaffolding for the pool-driven schedulers ([`super::ci_par`],
-/// [`super::steal_par`]): per-thread engines and removal buffers behind
-/// uncontended mutexes (only thread `tid` touches slot `tid`), a step
-/// closure that dispatches each popped task through `process`, and the
-/// post-join counter/removal merge. The schedulers differ only in which
-/// pool drives the step — `drive` runs it.
-pub(crate) fn run_pooled_depth<'d>(
-    t: usize,
-    data: &'d dyn DataStore,
-    cfg: &PcConfig,
-    d: usize,
-    process: impl Fn(&mut CiEngine<'d>, EdgeTask, u64, usize) -> GroupOutcome + Sync,
-    drive: impl FnOnce(&(dyn Fn(usize, EdgeTask) -> StepResult<EdgeTask> + Sync)),
-) -> (Vec<Removal>, u64, u64) {
-    let gs = cfg.group_size as u64;
-    let engines: Vec<Mutex<CiEngine<'d>>> = (0..t)
-        .map(|_| Mutex::new(CiEngine::new(data, cfg)))
-        .collect();
-    let removals: Vec<Mutex<Vec<Removal>>> = (0..t).map(|_| Mutex::new(Vec::new())).collect();
-
-    drive(&|tid, task| {
-        let mut engine = engines[tid].lock();
-        match process(&mut engine, task, gs, d) {
-            GroupOutcome::Removed(r) => {
-                removals[tid].lock().push(r);
-                StepResult::Done
-            }
-            GroupOutcome::Exhausted => StepResult::Done,
-            GroupOutcome::InProgress(next) => StepResult::Continue(next),
-        }
-    });
-
-    let mut all = Vec::new();
-    let mut performed = 0;
-    let mut skipped = 0;
-    for (engine, slot) in engines.into_iter().zip(removals) {
-        let engine = engine.into_inner();
-        performed += engine.performed;
-        skipped += engine.skipped;
-        all.extend(slot.into_inner());
-    }
-    (all, performed, skipped)
 }
 
 /// Build the per-depth task list from the current graph (Algorithm 1,
@@ -884,82 +661,6 @@ mod tests {
             _ => panic!("expected removal"),
         }
         assert_eq!(engine.performed, 2, "whole group performed");
-    }
-
-    #[test]
-    fn run_batch_matches_single_runs() {
-        let data = xor_data();
-        let cfg = PcConfig::fast_bns_seq();
-        let mut single = CiEngine::new(&data, &cfg);
-        let mut batched = CiEngine::new(&data, &cfg);
-        // Depth-1 tests over every (u, v, cond) triple, plus the d=0 pairs.
-        for layout in [Layout::ColumnMajor, Layout::RowMajor] {
-            let cfg = PcConfig::fast_bns_seq().with_layout(layout);
-            let mut single = CiEngine::new(&data, &cfg);
-            let mut batched = CiEngine::new(&data, &cfg);
-            let triples = [(0usize, 1usize, 2usize), (0, 2, 1), (1, 2, 0)];
-            let conds_flat: Vec<usize> = triples.iter().map(|t| t.2).collect();
-            let mut decisions = Vec::new();
-            batched.run_batch(0, 1, 1, 1, &conds_flat[..1], &mut decisions);
-            batched.run_batch(0, 2, 1, 1, &conds_flat[1..2], &mut decisions);
-            batched.run_batch(1, 2, 1, 1, &conds_flat[2..3], &mut decisions);
-            for (i, &(u, v, c)) in triples.iter().enumerate() {
-                assert_eq!(
-                    decisions[i],
-                    single.run(u, v, &[c]),
-                    "{layout:?} ({u},{v}|{c})"
-                );
-            }
-            assert_eq!(single.performed, batched.performed);
-        }
-        // Marginal (d = 0) batch of one test per call.
-        let mut decisions = Vec::new();
-        batched.run_batch(0, 1, 0, 1, &[], &mut decisions);
-        assert_eq!(decisions[0], single.run(0, 1, &[]));
-    }
-
-    #[test]
-    fn run_batch_skips_oversized_tables_like_single_path() {
-        let data = xor_data();
-        let mut cfg = PcConfig::fast_bns_seq();
-        cfg.max_table_cells = 4; // 2×2×2 = 8 > 4
-        let mut engine = CiEngine::new(&data, &cfg);
-        let mut decisions = Vec::new();
-        engine.run_batch(0, 1, 1, 1, &[2], &mut decisions);
-        assert!(!decisions[0], "skipped test keeps the edge");
-        assert_eq!(engine.skipped, 1);
-        assert_eq!(engine.performed, 0);
-    }
-
-    #[test]
-    fn batched_and_unbatched_group_processing_agree() {
-        let data = xor_data();
-        let cfg = PcConfig::fast_bns_seq();
-        let g = UGraph::complete(3);
-        for gs in [1u64, 2, 8] {
-            let tasks_a = build_tasks(&g, 1, &cfg);
-            let tasks_b = build_tasks(&g, 1, &cfg);
-            let mut ea = CiEngine::new(&data, &cfg);
-            let mut eb = CiEngine::new(&data, &cfg);
-            for (ta, tb) in tasks_a.into_iter().zip(tasks_b) {
-                let label = format!("gs={gs} edge ({},{})", ta.u, ta.v);
-                match (
-                    process_group(&mut ea, ta, gs, 1),
-                    process_group_batched(&mut eb, tb, gs, 1),
-                ) {
-                    (GroupOutcome::Removed(a), GroupOutcome::Removed(b)) => {
-                        assert_eq!(a, b, "{label}");
-                    }
-                    (GroupOutcome::Exhausted, GroupOutcome::Exhausted) => {}
-                    (GroupOutcome::InProgress(a), GroupOutcome::InProgress(b)) => {
-                        assert_eq!(a.progress, b.progress, "{label}");
-                    }
-                    _ => panic!("{label}: outcome kinds diverge"),
-                }
-            }
-            assert_eq!(ea.performed, eb.performed, "gs={gs} performed");
-            assert_eq!(ea.skipped, eb.skipped, "gs={gs} skipped");
-        }
     }
 
     #[test]

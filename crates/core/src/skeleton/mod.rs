@@ -1,21 +1,14 @@
-//! Step 1 of PC-stable: skeleton discovery (Algorithm 1), behind five
+//! Step 1 of PC-stable: skeleton discovery (Algorithm 1), behind four
 //! interchangeable schedulers.
 //!
 //! The depth loop lives here; per-depth execution is delegated to
-//! [`seq`], [`edge_par`], [`sample_par`], [`ci_par`] (the paper's dynamic
-//! work pool) or [`steal_par`] (its work-stealing sharded successor with
-//! batched CI-test execution) according to [`PcConfig::mode`]. Dispatch
-//! details:
+//! [`seq`], [`edge_par`], [`sample_par`] or [`ci_par`] (the paper's
+//! dynamic work pool) according to [`PcConfig::mode`]. Dispatch details:
 //!
 //! * **Depth 0.** The conditioning set is always empty and the number of
 //!   tests is known up front (`n(n−1)/2`), so no dynamic scheduling is
 //!   needed (§IV-B, last paragraph). `CiLevel` falls back to plain
-//!   edge-level parallelism (`edge_par`) there, as the paper prescribes;
-//!   `WorkSteal` goes one step further with
-//!   [`steal_par::run_depth0_batched`], a batched marginal sweep that
-//!   fills all depth-0 contingency tables of a thread's static chunk in
-//!   one tiled pass over the dataset. Both produce byte-identical results
-//!   to the per-test path — only the fill schedule differs.
+//!   edge-level parallelism (`edge_par`) there, as the paper prescribes.
 //! * **Removal buffering.** Parallel modes buffer removals and apply them
 //!   at the end of the depth; the sequential mode applies them
 //!   immediately. PC-stable's per-depth adjacency snapshots make both
@@ -26,7 +19,6 @@ pub mod common;
 pub mod edge_par;
 pub mod sample_par;
 pub mod seq;
-pub mod steal_par;
 
 use crate::config::{ParallelMode, PcConfig};
 use crate::progress::{NoProgress, ProgressSink};
@@ -109,21 +101,12 @@ fn learn_skeleton_inner<O: CiObserver>(
                     &mut depth_stats,
                     |graph, sepsets, tasks, d| {
                         let (removals, performed, _skipped) = match mode {
-                            // Depth 0: tests known up front ⇒ static split.
-                            // WorkSteal batches the whole chunk's fills
-                            // into one dataset pass; CiLevel keeps the
-                            // paper's plain edge-level fallback.
-                            ParallelMode::WorkSteal if d == 0 => {
-                                steal_par::run_depth0_batched(team, data, cfg, tasks)
+                            ParallelMode::CiLevel if d > 0 => {
+                                ci_par::run_depth(team, data, cfg, tasks, d)
                             }
-                            ParallelMode::CiLevel if d == 0 => {
-                                edge_par::run_depth(team, data, cfg, tasks, d)
-                            }
-                            ParallelMode::CiLevel => ci_par::run_depth(team, data, cfg, tasks, d),
-                            ParallelMode::WorkSteal => {
-                                steal_par::run_depth(team, data, cfg, tasks, d)
-                            }
-                            ParallelMode::EdgeLevel => {
+                            // CiLevel at depth 0: tests known up front ⇒
+                            // the static edge split.
+                            ParallelMode::CiLevel | ParallelMode::EdgeLevel => {
                                 edge_par::run_depth(team, data, cfg, tasks, d)
                             }
                             ParallelMode::SampleLevel => {
@@ -234,7 +217,6 @@ mod tests {
             ParallelMode::EdgeLevel,
             ParallelMode::SampleLevel,
             ParallelMode::CiLevel,
-            ParallelMode::WorkSteal,
         ] {
             for threads in [1, 2, 4] {
                 let cfg = PcConfig::fast_bns().with_mode(mode).with_threads(threads);
@@ -257,16 +239,11 @@ mod tests {
     fn group_sizes_do_not_change_results() {
         let data = dataset();
         let reference = learn_skeleton(&data, &PcConfig::fast_bns_seq());
-        for mode in [ParallelMode::CiLevel, ParallelMode::WorkSteal] {
-            for gs in [2, 4, 8] {
-                let cfg = PcConfig::fast_bns()
-                    .with_mode(mode)
-                    .with_group_size(gs)
-                    .with_threads(2);
-                let (g, sep, _) = learn_skeleton(&data, &cfg);
-                assert_eq!(g, reference.0, "{mode:?} gs={gs}");
-                assert_eq!(sep.get(0, 1), reference.1.get(0, 1));
-            }
+        for gs in [2, 4, 8] {
+            let cfg = PcConfig::fast_bns().with_group_size(gs).with_threads(2);
+            let (g, sep, _) = learn_skeleton(&data, &cfg);
+            assert_eq!(g, reference.0, "gs={gs}");
+            assert_eq!(sep.get(0, 1), reference.1.get(0, 1));
         }
     }
 

@@ -8,16 +8,13 @@
 //!   analogue of an OpenMP parallel region, amortizing thread start-up the
 //!   same way (critical for a fair sample-level-parallelism baseline, which
 //!   launches one job per CI test),
-//! * [`stealpool`] — a **work-stealing sharded pool**: one deque per
-//!   worker (LIFO at the owner's end, FIFO for thieves) with the same
-//!   in-flight drain protocol, which removes the single shared lock from
-//!   the scheduling hot path on wide networks,
-//! * [`workpool`] — the paper's **dynamic work pool** (§IV-B): a shared
-//!   LIFO of tasks with an in-flight count, plus a [`workpool::run_pool`]
-//!   driver that runs the pop → process-group → requeue loop on a team;
-//!   kept as a single-shard facade over [`stealpool::StealPool`] so the
-//!   paper-faithful `ci_par` scheduler retains exact single-queue
-//!   semantics,
+//! * [`stealpool`] — the paper's **dynamic work pool** (§IV-B) and its
+//!   work-stealing generalization: per-worker deques (LIFO at the owner's
+//!   end, FIFO for thieves) with an in-flight drain protocol, plus
+//!   [`stealpool::run_steal_pool`], which runs the pop → process-group →
+//!   requeue loop on a team. The CI-level skeleton
+//!   scheduler drives it with one shard (the paper's shared stack); the
+//!   score search and the junction tree shard it,
 //! * [`partition`] — balanced contiguous range splitting (edge-level and
 //!   sample-level static scheduling) and adjacency sharding by owner key
 //!   for seeding the stealing deques,
@@ -35,11 +32,9 @@ pub mod jobs;
 pub mod partition;
 pub mod stealpool;
 pub mod team;
-pub mod workpool;
 
 pub use counters::PerThread;
 pub use jobs::{CancelToken, JobHandle, JobPool, QueueFull};
 pub use partition::{chunk_ranges, shard_by_key};
-pub use stealpool::{run_steal_pool, StealPool};
+pub use stealpool::{run_steal_pool, StealPool, StepResult};
 pub use team::Team;
-pub use workpool::{run_pool, StepResult, WorkPool};

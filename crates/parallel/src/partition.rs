@@ -1,4 +1,4 @@
-//! Task partitioning: balanced contiguous ranges and adjacency sharding.
+//! Task partitioning: balanced contiguous ranges and sharding by owner key.
 //!
 //! Edge-level parallelism dedicates `|Ed|/t` edges to each thread and
 //! sample-level parallelism dedicates `m/t` samples (paper §IV-A); both are
@@ -6,10 +6,10 @@
 //! remainder is spread over the first `n mod k` chunks so chunk sizes
 //! differ by at most one.
 //!
-//! The work-stealing scheduler instead seeds per-worker deques with
-//! [`shard_by_key`]: tasks are grouped by an *owner key* (for skeleton
-//! discovery, an edge endpoint — so all edges incident to a vertex, which
-//! share that vertex's data columns, land on one shard and stay cache-warm
+//! A sharded work-stealing pool instead seeds per-worker deques with
+//! [`shard_by_key`]: tasks are grouped by an *owner key* (for the score
+//! search, a move's child — so all moves that re-score one child, which
+//! share that child's data columns, land on one shard and stay cache-warm
 //! there) and the key-groups are spread over shards by greedy
 //! longest-processing-time placement on an estimated weight. Stealing then
 //! only has to correct the residual imbalance the estimate missed.
@@ -37,8 +37,7 @@ pub fn chunk_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
 /// Shard `tasks` into `k` buckets by owner key, balancing estimated weight.
 ///
 /// Tasks with equal `key` always land in the same shard, preserving their
-/// relative order (this is what makes the sharding an *adjacency* sharding
-/// when the key is an edge endpoint). Key-groups are placed largest-first
+/// relative order. Key-groups are placed largest-first
 /// onto the currently lightest shard (LPT scheduling), with deterministic
 /// tie-breaks (equal weights order by key, equal loads pick the lowest
 /// shard index), so the same input always yields the same sharding

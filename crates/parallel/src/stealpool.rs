@@ -1,26 +1,26 @@
-//! Work-stealing sharded task pool — the scalable successor to the single
-//! shared-stack [`crate::workpool::WorkPool`].
+//! The dynamic work pool (paper §IV-B) and its sharded, work-stealing
+//! generalization.
 //!
-//! The paper's dynamic work pool (§IV-B) is one mutex-protected stack. That
-//! is fine at 2–8 threads on mid-sized networks, but on the 1000-node Munin
-//! workloads every pop/requeue crosses the same lock, and the lock becomes
-//! the scheduler's serial section. This module shards the pool: each worker
-//! owns a deque, pushes and pops at its **back** (LIFO, so the most
-//! recently touched edge — whose data columns are still cache-warm — is
-//! processed next), and only when its own deque runs dry does it **steal**
-//! from the **front** of a victim's deque (FIFO, so the thief takes the
-//! oldest task, the one least likely to be warm in the victim's cache and
-//! statistically the one with the most remaining work).
+//! A pool is a set of per-worker deques plus an in-flight counter. Workers
+//! repeatedly *pop* a task, process its next group of work (e.g. `gs` CI
+//! tests of an edge), and either *complete* it or *requeue* it with
+//! updated progress. The pool is drained when every deque is empty **and**
+//! no task is held by a worker — tracking in-flight tasks is what lets an
+//! edge be popped, partially processed, and returned without another
+//! thread prematurely concluding the depth is finished.
 //!
-//! Invariants shared with `WorkPool`:
+//! With one shard this is exactly the paper's pool: a shared LIFO stack,
+//! which keeps recently touched edges (and their data columns) warm in
+//! cache. The CI-level scheduler runs it that way. With several shards
+//! each worker owns a deque, pushes and pops at its **back** (LIFO), and
+//! only when its own deque runs dry does it **steal** from the **front**
+//! of a victim's deque (FIFO, so the thief takes the oldest task, the one
+//! least likely to be warm in the victim's cache). The score search and
+//! the junction tree's parallel passes drive sharded pools.
 //!
-//! * a task outside every deque is accounted in `in_flight`, so
-//!   [`StealPool::is_drained`] can never observe "empty and idle" while a
-//!   worker still holds (and may requeue) a task;
-//! * the pop → process-group → requeue/complete protocol is identical, so
-//!   [`run_steal_pool`] is a drop-in replacement for
-//!   [`crate::workpool::run_pool`] and produces the same set of completed
-//!   steps regardless of shard count, thread count or steal interleaving.
+//! The pop → process-group → requeue/complete protocol is the same at any
+//! shard count, so [`run_steal_pool`] produces the same set of completed
+//! steps regardless of shard count, thread count or steal interleaving.
 
 use crate::team::Team;
 use crossbeam::utils::CachePadded;
@@ -123,14 +123,6 @@ impl<T> StealPool<T> {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Add a brand-new task (never popped) to `shard`'s deque.
-    pub fn inject(&self, shard: usize, task: T) {
-        counter!("fastbn.parallel.steal.injects").inc();
-        self.shards[shard % self.shards.len()]
-            .lock()
-            .push_back(task);
-    }
-
     /// True when every deque is empty and no task is in flight.
     pub fn is_drained(&self) -> bool {
         // Read in_flight first: a task between pop and requeue keeps
@@ -141,15 +133,21 @@ impl<T> StealPool<T> {
     }
 }
 
-/// What a processing step decided about its task (shared with the facade
-/// pool; re-exported from [`crate::workpool`]).
-pub use crate::workpool::StepResult;
+/// What a processing step decided about its task.
+pub enum StepResult<T> {
+    /// The task has more work; return it to the pool.
+    Continue(T),
+    /// The task is finished.
+    Done,
+}
 
-/// Drive a sharded pool to completion on `team`: every worker loops
+/// Drive a pool to completion on `team`: every worker loops
 /// pop-or-steal → `step` → requeue/complete until the pool drains.
 ///
-/// Same contract as [`crate::workpool::run_pool`], with shard-aware popping:
-/// worker `tid` drains its own deque LIFO and steals FIFO when idle.
+/// `step(tid, task)` processes one group of work and decides the task's
+/// fate. Worker `tid` drains its own deque LIFO and steals FIFO when idle;
+/// on a one-shard pool this is exactly the paper's CI-level scheduling
+/// loop.
 pub fn run_steal_pool<T, F>(team: &Team<'_>, pool: &StealPool<T>, step: F)
 where
     T: Send,
@@ -260,19 +258,13 @@ mod tests {
         pool.complete_one();
     }
 
-    #[test]
-    fn every_unit_of_work_is_processed_exactly_once_with_stealing() {
-        // Heavily skewed shards: shard 0 holds everything, three other
-        // workers must live off steals. Total step executions must equal the
-        // sum of task sizes and every task must complete exactly once.
-        let n_tasks = 64usize;
-        let tasks: Vec<(usize, u32)> = (0..n_tasks).map(|i| (i, 1 + (i as u32 * 7) % 13)).collect();
-        let expected_steps: u64 = tasks.iter().map(|&(_, s)| s as u64).sum();
-        let pool = StealPool::from_shards(vec![tasks, Vec::new(), Vec::new(), Vec::new()]);
+    /// Drive `tasks` of `(id, remaining_steps)` on `threads` workers; each
+    /// step decrements. Returns (steps executed, tasks completed).
+    fn drive(pool: &StealPool<(usize, u32)>, threads: usize) -> (u64, u64) {
         let steps = AtomicU64::new(0);
         let completions = AtomicU64::new(0);
-        Team::scoped(4, |team| {
-            run_steal_pool(team, &pool, |_tid, (id, remaining)| {
+        Team::scoped(threads, |team| {
+            run_steal_pool(team, pool, |_tid, (id, remaining)| {
                 steps.fetch_add(1, Ordering::Relaxed);
                 if remaining == 1 {
                     completions.fetch_add(1, Ordering::Relaxed);
@@ -282,37 +274,97 @@ mod tests {
                 }
             });
         });
-        assert_eq!(steps.load(Ordering::SeqCst), expected_steps);
-        assert_eq!(completions.load(Ordering::SeqCst), n_tasks as u64);
         assert!(pool.is_drained());
+        (steps.into_inner(), completions.into_inner())
+    }
+
+    #[test]
+    fn every_unit_of_work_is_processed_exactly_once_with_stealing() {
+        // Heavily skewed shards: shard 0 holds everything, three other
+        // workers must live off steals. Total step executions must equal the
+        // sum of task sizes and every task must complete exactly once.
+        let tasks: Vec<(usize, u32)> = (0..64).map(|i| (i, 1 + (i as u32 * 7) % 13)).collect();
+        let expected_steps: u64 = tasks.iter().map(|&(_, s)| s as u64).sum();
+        let pool = StealPool::from_shards(vec![tasks, Vec::new(), Vec::new(), Vec::new()]);
+        assert_eq!(drive(&pool, 4), (expected_steps, 64));
     }
 
     #[test]
     fn more_threads_than_shards_still_drains() {
         let tasks: Vec<(usize, u32)> = (0..20).map(|i| (i, 3u32)).collect();
         let pool = StealPool::from_shards(vec![tasks.clone(), tasks]);
-        let steps = AtomicU64::new(0);
-        Team::scoped(5, |team| {
-            run_steal_pool(team, &pool, |_tid, (id, rem)| {
-                steps.fetch_add(1, Ordering::Relaxed);
-                if rem == 1 {
-                    StepResult::Done
-                } else {
-                    StepResult::Continue((id, rem - 1))
-                }
-            });
-        });
-        assert_eq!(steps.load(Ordering::SeqCst), 2 * 20 * 3);
+        assert_eq!(drive(&pool, 5), (2 * 20 * 3, 40));
+    }
+
+    #[test]
+    fn pool_basics() {
+        // One shard is the paper's shared LIFO stack.
+        let pool = StealPool::from_shards(vec![vec![1, 2, 3]]);
+        assert_eq!(pool.queued(), 3);
+        assert!(!pool.is_drained());
+        let t = pool.pop(0).unwrap();
+        assert_eq!(t, 3, "LIFO order");
+        assert!(!pool.is_drained(), "in-flight task blocks drain");
+        pool.requeue(0, t);
+        assert_eq!(pool.queued(), 3);
+        for _ in 0..3 {
+            pool.pop(0).unwrap();
+            pool.complete_one();
+        }
+        assert!(pool.pop(0).is_none());
         assert!(pool.is_drained());
     }
 
     #[test]
-    fn inject_wraps_shard_index() {
-        let pool: StealPool<u32> = StealPool::new(2);
-        pool.inject(0, 1);
-        pool.inject(3, 2); // lands on shard 1
+    fn completion_counting_balances_pops() {
+        // complete_one must pair 1:1 with pops that are not requeued.
+        let pool = StealPool::from_shards(vec![vec![1u32, 2, 3]]);
+        let a = pool.pop(0).unwrap();
+        let b = pool.pop(0).unwrap();
+        pool.requeue(0, a);
+        pool.complete_one(); // finishes b
+        let _ = b;
         assert_eq!(pool.queued(), 2);
-        assert_eq!(pool.pop(1), Some(2));
+        assert!(!pool.is_drained());
+        pool.pop(0).unwrap();
         pool.complete_one();
+        pool.pop(0).unwrap();
+        pool.complete_one();
+        assert!(pool.pop(0).is_none());
+        assert!(pool.is_drained());
+    }
+
+    #[test]
+    fn every_unit_of_work_is_processed_exactly_once() {
+        // One shared shard: total step executions must equal the sum of
+        // initial steps, and each task must complete exactly once.
+        let tasks: Vec<(usize, u32)> = (0..64).map(|i| (i, 1 + (i as u32 * 7) % 13)).collect();
+        let expected_steps: u64 = tasks.iter().map(|&(_, s)| s as u64).sum();
+        let pool = StealPool::from_shards(vec![tasks]);
+        assert_eq!(drive(&pool, 4), (expected_steps, 64));
+    }
+
+    #[test]
+    fn uneven_tasks_are_load_balanced() {
+        // One huge task and many tiny ones with 2 threads: the huge task
+        // must not serialize the tiny ones (they complete while it cycles).
+        // Only total correctness is asserted; timing is the benches' job.
+        let mut tasks = vec![(0usize, 200u32)];
+        tasks.extend((1..40).map(|i| (i, 1u32)));
+        let total: u64 = tasks.iter().map(|&(_, s)| s as u64).sum();
+        let pool = StealPool::from_shards(vec![tasks]);
+        assert_eq!(drive(&pool, 2), (total, 40));
+    }
+
+    #[test]
+    fn empty_pool_drains_immediately() {
+        let pool = StealPool::new(1);
+        assert_eq!(drive(&pool, 3), (0, 0));
+    }
+
+    #[test]
+    fn single_thread_drive_works() {
+        let pool = StealPool::from_shards(vec![vec![(0usize, 5u32)]]);
+        assert_eq!(drive(&pool, 1), (5, 1));
     }
 }

@@ -2,8 +2,7 @@
 //! duplicated, under arbitrary task shapes and thread counts.
 
 use fastbn_parallel::{
-    chunk_ranges, run_pool, run_steal_pool, shard_by_key, PerThread, StealPool, StepResult, Team,
-    WorkPool,
+    chunk_ranges, run_steal_pool, shard_by_key, PerThread, StealPool, StepResult, Team,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,11 +18,12 @@ proptest! {
         let expected: u64 = sizes.iter().map(|&s| s as u64).sum();
         let tasks: Vec<(usize, u32)> = sizes.iter().copied().enumerate().collect();
         let n_tasks = tasks.len() as u64;
-        let pool = WorkPool::from_tasks(tasks);
+        // One shard: the CI-level scheduler's shared stack.
+        let pool = StealPool::from_shards(vec![tasks]);
         let steps = AtomicU64::new(0);
         let dones = AtomicU64::new(0);
         Team::scoped(threads, |team| {
-            run_pool(team, &pool, |_tid, (id, rem)| {
+            run_steal_pool(team, &pool, |_tid, (id, rem)| {
                 steps.fetch_add(1, Ordering::Relaxed);
                 if rem == 1 {
                     dones.fetch_add(1, Ordering::Relaxed);

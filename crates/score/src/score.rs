@@ -5,10 +5,10 @@
 //! the **local score** of one (child, parent-set) pair — a pure function of
 //! the child's conditional count table. That table is an ordinary
 //! [`ContingencyTable`] with `rx = r_v` child states, `ry = 1` and
-//! `nz = q` parent configurations, filled through the same
-//! [`TableArena`]/tiled dataset-sweep path the batched CI tests use
-//! ([`fastbn_stats::batch`]): one pass over the samples fills every table
-//! of a batch, reading the child column once per sample block.
+//! `nz = q` parent configurations, filled through a [`TableArena`]
+//! ([`fastbn_stats::batch`]) and the counting backend's tiled dataset
+//! sweep: one pass over the samples fills every table of a batch, reading
+//! the child column once per sample block.
 //!
 //! All four scores are computed with a **fixed summation order** (parent
 //! configurations outer, child states inner, parents encoded most
@@ -204,7 +204,7 @@ impl<'d> LocalScorer<'d> {
 
         // Shared fill through the counting backend: the tiled engine reads
         // the child column once per sample block and scatters it into
-        // every table (cf. `CiEngine::run_batch`); the bitmap engine
+        // every table; the bitmap engine
         // answers each `r_v × 1 × q` table by AND + popcount against the
         // cached sample-bitmap index. Counts are identical either way.
         if !self.arena.is_empty() {

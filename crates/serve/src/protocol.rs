@@ -158,7 +158,7 @@ pub fn encode_dataset(e: &mut Enc, data: &Dataset) {
 /// [`Dataset::from_columns`]).
 pub fn decode_dataset(d: &mut Dec) -> Result<Dataset, WireError> {
     let n_vars = d.u32()? as usize;
-    let n_samples = d.u64()? as usize;
+    let n_samples = usize::try_from(d.u64()?).map_err(|_| WireError::OutOfBounds("n_samples"))?;
     if n_vars == 0 || n_vars > 1 << 20 {
         return Err(WireError::OutOfBounds("n_vars"));
     }
@@ -168,13 +168,17 @@ pub fn decode_dataset(d: &mut Dec) -> Result<Dataset, WireError> {
         names.push(d.str()?);
         arities.push(d.u8()?);
     }
+    // Every cell is one payload byte: a count the payload cannot hold is
+    // rejected before any column is allocated.
+    if n_vars
+        .checked_mul(n_samples)
+        .is_none_or(|cells| cells > d.remaining())
+    {
+        return Err(WireError::OutOfBounds("n_samples"));
+    }
     let mut columns = Vec::with_capacity(n_vars);
     for _ in 0..n_vars {
-        let mut col = Vec::with_capacity(n_samples);
-        for _ in 0..n_samples {
-            col.push(d.u8()?);
-        }
-        columns.push(col);
+        columns.push(d.take(n_samples)?.to_vec());
     }
     Dataset::from_columns(names, arities, columns)
         .map_err(|_| WireError::OutOfBounds("dataset contents"))
@@ -237,7 +241,6 @@ fn encode_mode(mode: ParallelMode) -> u8 {
         ParallelMode::EdgeLevel => 1,
         ParallelMode::SampleLevel => 2,
         ParallelMode::CiLevel => 3,
-        ParallelMode::WorkSteal => 4,
     }
 }
 
@@ -247,7 +250,6 @@ fn decode_mode(v: u8) -> Result<ParallelMode, WireError> {
         1 => ParallelMode::EdgeLevel,
         2 => ParallelMode::SampleLevel,
         3 => ParallelMode::CiLevel,
-        4 => ParallelMode::WorkSteal,
         other => return Err(WireError::BadTag(other)),
     })
 }
@@ -288,7 +290,7 @@ pub struct PcSpec {
 
 impl Default for PcSpec {
     fn default() -> Self {
-        let base = PcConfig::fast_bns_steal();
+        let base = PcConfig::fast_bns();
         Self {
             alpha: base.alpha,
             threads: base.threads as u16,
@@ -1839,6 +1841,27 @@ mod tests {
         e.u8(2); // no such dataset-ref tag
         let bytes = e.into_bytes();
         assert!(DatasetRef::decode(&mut Dec::new(&bytes)).is_err());
+        // Mode tag 4 (the retired work-stealing scheduler) is unassigned.
+        assert_eq!(decode_mode(3), Ok(ParallelMode::CiLevel));
+        assert_eq!(decode_mode(4), Err(WireError::BadTag(4)));
+    }
+
+    #[test]
+    fn oversized_sample_count_is_rejected_before_allocating() {
+        // A short payload that declares 2^44 samples: decoding must fail
+        // on the size check, not abort on a 16 TiB column allocation.
+        let mut e = Enc::new();
+        e.u32(1).u64(1 << 44).str("a").u8(2).u8(0);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            decode_dataset(&mut Dec::new(&bytes)),
+            Err(WireError::OutOfBounds("n_samples"))
+        );
+        // n_vars × n_samples overflowing usize is rejected the same way.
+        let mut e = Enc::new();
+        e.u32(2).u64(u64::MAX).str("a").u8(2).str("b").u8(2);
+        let bytes = e.into_bytes();
+        assert!(decode_dataset(&mut Dec::new(&bytes)).is_err());
     }
 
     #[test]
@@ -1848,7 +1871,7 @@ mod tests {
         };
         let pc_cfg = pc.to_config();
         assert_eq!(pc_cfg.threads, 3);
-        assert_eq!(pc_cfg.mode, ParallelMode::WorkSteal);
+        assert_eq!(pc_cfg.mode, ParallelMode::CiLevel);
         let hc_cfg = hc.to_config();
         assert_eq!(hc_cfg.threads, 3);
         assert_eq!(hc_cfg.kind, ScoreKind::Bic);

@@ -10,7 +10,9 @@
 
 use std::io::{self, Read, Write};
 
-/// Protocol version carried in every frame header. Version 4 added the
+/// Protocol version carried in every frame header. Version 5 retired
+/// `mode` tag 4 (the work-stealing scheduler), so the default strategy's
+/// canonical bytes now carry `mode` 3. Version 4 added the
 /// SIMD kernel-tier fields in `StatsReply` (`simd_kernel` plus the
 /// per-tier fill counters). Version 3 added upload-once dataset
 /// handles: the `DatasetPut` frame pair, the dataset-reference tag in
@@ -19,7 +21,7 @@ use std::io::{self, Read, Write};
 /// for the compatibility rules). Version 2 added the `Metrics` frame
 /// pair and the observability fields in `StatsReply`, `HealthReply`,
 /// and the search-stats section.
-pub const PROTOCOL_VERSION: u8 = 4;
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on a frame's byte length (header + payload). Frames
 /// announcing more are rejected before any allocation — a malformed or
@@ -145,7 +147,8 @@ impl<'a> Dec<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Read `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }

@@ -14,8 +14,8 @@ use fastbn_core::learn_structure;
 use fastbn_data::Dataset;
 use fastbn_network::{zoo, JoinTree, Query};
 use fastbn_score::ScoreKind;
-use fastbn_serve::protocol::{kind, ErrorReply, HcSpec, LearnRequest};
-use fastbn_serve::wire::{encode_frame, read_frame};
+use fastbn_serve::protocol::{kind, ErrorReply, HcSpec, HealthReply, LearnRequest};
+use fastbn_serve::wire::{encode_frame, read_frame, Enc};
 use fastbn_serve::{Client, DatasetRef, ErrorCode, JobPhase, ServeConfig, Server, StrategySpec};
 
 fn alarm_sample(rows: usize) -> Dataset {
@@ -324,6 +324,39 @@ fn health_stats_and_error_paths() {
     handle.join().expect("server exits");
 }
 
+/// A `DatasetPut` whose header declares far more samples than its payload
+/// carries (2^44 here, a 16 TiB column) is answered with `Malformed`
+/// before anything is allocated, and the same connection keeps serving.
+#[test]
+fn hostile_dataset_put_is_malformed_and_daemon_keeps_serving() {
+    let (handle, addr) = spawn_server(ServeConfig::default());
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    let mut payload = Enc::new();
+    payload.u32(2).u64(1 << 44);
+    payload.str("a").u8(2).str("b").u8(2).u8(0);
+    raw.write_all(&encode_frame(kind::DATASET_PUT, 1, &payload.into_bytes()))
+        .expect("send hostile put");
+    let frame = read_frame(&mut raw).expect("read").expect("open");
+    assert_eq!((frame.kind, frame.request_id), (kind::ERROR, 1));
+    let err = ErrorReply::decode(&frame.payload).expect("decode");
+    assert_eq!(err.code, ErrorCode::Malformed);
+
+    raw.write_all(&encode_frame(kind::HEALTH, 2, &[]))
+        .expect("send health");
+    let frame = read_frame(&mut raw).expect("read").expect("open");
+    assert_eq!((frame.kind, frame.request_id), (kind::HEALTH_OK, 2));
+    let health = HealthReply::decode(&frame.payload).expect("decode health");
+    assert_eq!(
+        health.protocol_version,
+        fastbn_serve::wire::PROTOCOL_VERSION
+    );
+    drop(raw);
+
+    let mut client = Client::connect(addr).expect("connect for shutdown");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+}
+
 /// Upload-once dataset handles: `DatasetPut` returns the content
 /// fingerprint, by-handle `Learn`/`Fit` produce byte-identical replies
 /// to the inline forms without reshipping the columns, and unknown
@@ -541,7 +574,7 @@ fn protocol_doc_example_is_accurate() {
         }
         .encode(),
     );
-    let doc_request = "39000000040101000000009a9999999999a93f01000000000000000000020000\
+    let doc_request = "39000000050101000000009a9999999999a93f01000000000000000000020000\
                        0004000000000000000100000061020100000062020001010000010100";
     assert_eq!(hex(&request_frame), doc_request);
 
@@ -569,7 +602,7 @@ fn protocol_doc_example_is_accurate() {
         }
     }
     let reply_frame = encode_frame(kind::LEARN_OK, 1, &reply.encode());
-    let doc_reply = "570000000481010000003b594147047e8a2d0002000000000000000100000000\
+    let doc_reply = "570000000581010000003b594147047e8a2d0002000000000000000100000000\
                      0000000100000000000101000000000000000100000000000000010000000000\
                      000000000000000000000000000000000000000000000000000000";
     assert_eq!(hex(&reply_frame), doc_reply);

@@ -1,38 +1,19 @@
-//! Batched CI-test evaluation over a shared contingency-table pass.
+//! Reusable table arenas for batched counting and inference.
 //!
-//! The single-test path (`CiEngine` in the learner) builds one contingency
-//! table, evaluates it, and throws the counts away — for a group of `gs`
-//! tests of the same edge that means `gs` full sweeps over the `X` and `Y`
-//! columns and `2·gs` freshly allocated marginal buffers. The
-//! [`BatchedCiRunner`] amortizes both:
-//!
-//! * it owns a [`TableArena`] (one slot per in-flight test, reshaped in
-//!   place, allocations reused across batches), so a caller can fill every
-//!   table of a batch in *one* pass over the samples — each sample's
-//!   `(x, y)` pair is read once and scattered into all tables instead of
-//!   being re-read per test; the arena is its own type because the
-//!   score-based learner reuses it for per-(child, parent-set) count
-//!   tables, sharing the same tiled dataset-sweep path;
-//! * it evaluates the whole batch with **one pair of marginal scratch
-//!   buffers**, via the `*_statistic_scratch` kernels.
-//!
-//! The numerics are byte-identical to the single-test path: a batch slot is
-//! an ordinary [`ContingencyTable`] and the evaluation calls the very same
-//! statistic code ([`crate::gsq`], [`crate::pearson`], [`crate::mi`]) that
-//! [`crate::citest::run_ci_test`] dispatches to. The batched-vs-single
-//! golden tests pin that equivalence at 1e-9 (it is exact in practice).
+//! * [`TableArena`] holds integer contingency tables, one slot per table
+//!   of a batch, reshaped in place so allocations persist across batches.
+//!   The score-based learner fills its per-(child, parent-set) count
+//!   tables through it, in one tiled pass over the samples per batch.
+//! * [`FactorArena`] is its `f64` sibling for factor products in exact
+//!   inference.
 
-use crate::citest::{CiOutcome, CiTestKind, DfRule};
 use crate::contingency::ContingencyTable;
 use crate::engine::{CountingBackend, FillSpec};
-use crate::gsq::{g2_degrees_of_freedom_scratch, g2_statistic_scratch};
-use crate::pearson::x2_statistic_scratch;
 use fastbn_data::{DataStore, Layout};
 
-/// Sample-block size for tiled batch fills: every batched counting path
-/// (the CI-test group fill, the depth-0 marginal sweep, the score
-/// sufficient-statistics fill) inner-loops its tables over one block of
-/// samples at a time, so the shared column tiles stay L1-resident instead
+/// Sample-block size for tiled batch fills: a batched counting path (the
+/// score sufficient-statistics fill) inner-loops its tables over one block
+/// of samples at a time, so the shared column tiles stay L1-resident instead
 /// of being re-streamed per table. One definition so a future
 /// hardware-tuning pass (ROADMAP) changes every fill together.
 pub const FILL_BLOCK: usize = 2048;
@@ -40,11 +21,9 @@ pub const FILL_BLOCK: usize = 2048;
 /// A reusable arena of contingency tables: one slot per in-flight table,
 /// reshaped in place so allocations persist across batches.
 ///
-/// This is the sufficient-statistics substrate shared by every batched
-/// counting path in the workspace — the CI-test groups of
-/// [`BatchedCiRunner`] and the per-(child, parent-set) count tables of the
-/// score-based learner (`fastbn-score`) both fill arena slots through one
-/// tiled sweep over the dataset.
+/// This is the sufficient-statistics substrate of the score-based learner
+/// (`fastbn-score`): its per-(child, parent-set) count tables fill arena
+/// slots through one tiled sweep over the dataset.
 #[derive(Default)]
 pub struct TableArena {
     /// Table slots; only the first `active` belong to the current batch.
@@ -116,9 +95,7 @@ impl TableArena {
     }
 
     /// Fill the whole batch through a counting backend — one spec per slot,
-    /// in slot order. This is the single seam every batched counting path
-    /// (CI-test groups, the depth-0 sweep, score sufficient statistics)
-    /// goes through, so the engine choice covers all of them.
+    /// in slot order.
     ///
     /// # Panics
     /// Panics if `specs.len()` differs from the batch size.
@@ -136,8 +113,8 @@ impl TableArena {
 /// A reusable arena of `f64` tables — the floating-point sibling of
 /// [`TableArena`] on the same reshape-in-place substrate.
 ///
-/// Where [`TableArena`] holds integer count tables for CI tests and score
-/// sufficient statistics, this arena holds *value* tables: factor/potential
+/// Where [`TableArena`] holds integer count tables for score sufficient
+/// statistics, this arena holds *value* tables: factor/potential
 /// products in exact inference (`fastbn-network`'s junction tree routes
 /// every transient clique-scope product through one of these, so a batch of
 /// thousands of posterior queries reuses a handful of allocations instead
@@ -229,146 +206,9 @@ impl FactorArena {
     }
 }
 
-/// Table arena plus shared evaluation scratch for running a batch of CI
-/// tests in one table-fill pass and one evaluation pass.
-pub struct BatchedCiRunner {
-    arena: TableArena,
-    /// Shared marginal scratch, grown to the largest `rx`/`ry` seen.
-    nx: Vec<u64>,
-    ny: Vec<u64>,
-    outcomes: Vec<CiOutcome>,
-}
-
-impl BatchedCiRunner {
-    /// An empty runner (no tables allocated yet).
-    pub fn new() -> Self {
-        Self {
-            arena: TableArena::new(),
-            nx: Vec::new(),
-            ny: Vec::new(),
-            outcomes: Vec::new(),
-        }
-    }
-
-    /// Start a new batch, invalidating the previous batch's tables and
-    /// outcomes (allocations are kept).
-    pub fn begin(&mut self) {
-        self.arena.begin();
-        self.outcomes.clear();
-    }
-
-    /// Add a zeroed `rx × ry × nz` table to the batch and return its slot
-    /// index (see [`TableArena::add_table`]).
-    pub fn add_table(&mut self, rx: usize, ry: usize, nz: usize) -> usize {
-        self.arena.add_table(rx, ry, nz)
-    }
-
-    /// Number of tables in the current batch.
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// True when the current batch holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-
-    /// The current batch's tables, mutably — this is what a shared fill
-    /// pass iterates while scattering each sample into every table.
-    pub fn tables_mut(&mut self) -> &mut [ContingencyTable] {
-        self.arena.tables_mut()
-    }
-
-    /// Read a table of the current batch.
-    pub fn table(&self, slot: usize) -> &ContingencyTable {
-        self.arena.table(slot)
-    }
-
-    /// Fill the whole batch through a counting backend (see
-    /// [`TableArena::fill`]).
-    pub fn fill(
-        &mut self,
-        backend: &mut CountingBackend,
-        data: &dyn DataStore,
-        layout: Layout,
-        specs: &[FillSpec<'_>],
-    ) {
-        self.arena.fill(backend, data, layout, specs);
-    }
-
-    /// Evaluate every table of the batch with `kind` at level `alpha`,
-    /// sharing one pair of marginal buffers across all tests. Returns the
-    /// outcomes in slot order; the slice is valid until the next `begin`.
-    pub fn run(&mut self, kind: CiTestKind, alpha: f64, rule: DfRule) -> &[CiOutcome] {
-        self.outcomes.clear();
-        for table in self.arena.tables() {
-            let outcome = match kind {
-                CiTestKind::GSquared => {
-                    eval_g2_family(table, alpha, rule, &mut self.nx, &mut self.ny, |g2, _| g2)
-                }
-                CiTestKind::MutualInfo => {
-                    // Same decision as G²; the statistic is MI = G² / 2N.
-                    eval_g2_family(table, alpha, rule, &mut self.nx, &mut self.ny, |g2, n| {
-                        if n == 0 {
-                            0.0
-                        } else {
-                            g2 / (2.0 * n as f64)
-                        }
-                    })
-                }
-                CiTestKind::PearsonX2 => {
-                    let stat = x2_statistic_scratch(table, &mut self.nx, &mut self.ny);
-                    let df = g2_degrees_of_freedom_scratch(table, rule, &mut self.nx, &mut self.ny);
-                    finish(stat, stat, df, alpha)
-                }
-            };
-            self.outcomes.push(outcome);
-        }
-        &self.outcomes
-    }
-}
-
-impl Default for BatchedCiRunner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Evaluate the G² statistic and map it to the reported statistic via
-/// `report(g2, n)` (identity for G², `g2 / 2N` for the MI view).
-fn eval_g2_family(
-    table: &ContingencyTable,
-    alpha: f64,
-    rule: DfRule,
-    nx: &mut Vec<u64>,
-    ny: &mut Vec<u64>,
-    report: impl Fn(f64, u64) -> f64,
-) -> CiOutcome {
-    let g2 = g2_statistic_scratch(table, nx, ny);
-    let df = g2_degrees_of_freedom_scratch(table, rule, nx, ny);
-    finish(report(g2, table.total()), g2, df, alpha)
-}
-
-/// Decision step shared by all kinds: `p = sf(decision_stat, df)`, with the
-/// degenerate-df convention (`df ≤ 0 ⇒ p = 1`) of the single-test path.
-fn finish(reported_stat: f64, decision_stat: f64, df: f64, alpha: f64) -> CiOutcome {
-    let p_value = if df <= 0.0 {
-        1.0
-    } else {
-        crate::chi2::chi2_sf(decision_stat, df)
-    };
-    CiOutcome {
-        statistic: reported_stat,
-        df,
-        p_value,
-        independent: p_value > alpha,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::citest::run_ci_test;
 
     fn fill(table: &mut ContingencyTable, seed: u64, n: usize) {
         let (rx, ry, nz) = (table.rx(), table.ry(), table.nz());
@@ -383,81 +223,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_test_path_exactly() {
-        for kind in [
-            CiTestKind::GSquared,
-            CiTestKind::PearsonX2,
-            CiTestKind::MutualInfo,
-        ] {
-            for rule in [DfRule::Classic, DfRule::Adjusted] {
-                let mut runner = BatchedCiRunner::new();
-                runner.begin();
-                let shapes = [(2, 2, 1), (3, 2, 4), (2, 4, 2), (3, 3, 1)];
-                for (i, &(rx, ry, nz)) in shapes.iter().enumerate() {
-                    let slot = runner.add_table(rx, ry, nz);
-                    assert_eq!(slot, i);
-                    fill(&mut runner.tables_mut()[slot], i as u64 + 1, 500);
-                }
-                // Reference: the single-test front end on a copy of each table.
-                let singles: Vec<CiOutcome> = (0..shapes.len())
-                    .map(|i| run_ci_test(runner.table(i), kind, 0.05, rule))
-                    .collect();
-                let batched = runner.run(kind, 0.05, rule).to_vec();
-                assert_eq!(batched.len(), singles.len());
-                for (b, s) in batched.iter().zip(&singles) {
-                    assert_eq!(b.independent, s.independent, "{kind:?}/{rule:?}");
-                    assert!((b.statistic - s.statistic).abs() < 1e-12);
-                    assert!((b.p_value - s.p_value).abs() < 1e-12);
-                    assert_eq!(b.df, s.df);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn slots_are_reused_across_batches() {
-        let mut runner = BatchedCiRunner::new();
-        runner.begin();
-        runner.add_table(4, 4, 8);
-        fill(&mut runner.tables_mut()[0], 3, 100);
-        assert_eq!(runner.len(), 1);
+        let mut arena = TableArena::new();
+        arena.begin();
+        arena.add_table(4, 4, 8);
+        fill(&mut arena.tables_mut()[0], 3, 100);
+        assert_eq!(arena.len(), 1);
         // Second batch: slot 0 must come back zeroed with the new shape.
-        runner.begin();
-        assert!(runner.is_empty());
-        let slot = runner.add_table(2, 2, 1);
+        arena.begin();
+        assert!(arena.is_empty());
+        let slot = arena.add_table(2, 2, 1);
         assert_eq!(slot, 0);
-        assert_eq!(runner.table(0).cells(), 4);
-        assert_eq!(runner.table(0).total(), 0, "reshaped slot must be zeroed");
-    }
-
-    #[test]
-    fn empty_batch_runs_to_empty_outcomes() {
-        let mut runner = BatchedCiRunner::new();
-        runner.begin();
-        let out = runner.run(CiTestKind::GSquared, 0.05, DfRule::Classic);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn mixed_shapes_share_scratch_without_cross_talk() {
-        // A wide table evaluated before a narrow one must not leave stale
-        // marginal entries behind (the scratch is resized per table).
-        let mut runner = BatchedCiRunner::new();
-        runner.begin();
-        runner.add_table(5, 5, 2);
-        runner.add_table(2, 2, 1);
-        fill(&mut runner.tables_mut()[0], 7, 400);
-        // Perfectly independent small table: statistic must be ~0.
-        let t = &mut runner.tables_mut()[1];
-        for _ in 0..10 {
-            t.add(0, 0, 0);
-            t.add(0, 1, 0);
-            t.add(1, 0, 0);
-            t.add(1, 1, 0);
-        }
-        let out = runner.run(CiTestKind::GSquared, 0.05, DfRule::Classic);
-        assert!(out[1].statistic.abs() < 1e-9, "stale scratch leaked");
-        assert!(out[1].independent);
+        assert_eq!(arena.table(0).cells(), 4);
+        assert_eq!(arena.table(0).total(), 0, "reshaped slot must be zeroed");
     }
 
     #[test]
@@ -502,10 +280,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in the current batch")]
     fn reading_a_retired_slot_panics() {
-        let mut runner = BatchedCiRunner::new();
-        runner.begin();
-        runner.add_table(2, 2, 1);
-        runner.begin();
-        runner.table(0);
+        let mut arena = TableArena::new();
+        arena.begin();
+        arena.add_table(2, 2, 1);
+        arena.begin();
+        arena.table(0);
     }
 }

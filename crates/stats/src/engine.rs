@@ -1,10 +1,10 @@
 //! Pluggable counting backends: the [`CountEngine`] seam behind every
 //! contingency-table fill in the workspace.
 //!
-//! Everything Fast-BNS computes — depth-d CI tests, the depth-0 marginal
-//! sweep, and the score subsystem's per-(child, parent-set) count tables —
-//! reduces to filling contingency tables from the dataset. This module
-//! makes the *strategy* for that fill a first-class, swappable component:
+//! Everything Fast-BNS computes — the CI tests at every depth and the
+//! score subsystem's per-(child, parent-set) count tables — reduces to
+//! filling contingency tables from the dataset. This module makes the
+//! *strategy* for that fill a first-class, swappable component:
 //!
 //! * [`TiledScan`] — the historical column-scan: stream the involved
 //!   columns sample-by-sample, scattering each sample into its cell, with
@@ -31,7 +31,7 @@
 //! [`EngineSelect::Auto`] pick per query from the observed arity product,
 //! conditioning-set size and sample count. [`CountingBackend`] bundles the
 //! two engines with the policy and is what the consumers
-//! (`CiEngine::run`/`run_batch`, the depth-0 sweep, `score_batch`) hold.
+//! (`CiEngine::run`, `score_batch`) hold.
 
 use crate::batch::FILL_BLOCK;
 use crate::contingency::ContingencyTable;
@@ -641,8 +641,7 @@ impl EngineSelect {
 }
 
 /// Both engines plus the selection policy — what every counting consumer
-/// (the CI engine, the depth-0 sweep, the local scorer) holds, one per
-/// thread.
+/// (the CI engine, the local scorer) holds, one per thread.
 ///
 /// Under [`EngineSelect::Auto`], a batch is split per query: each table
 /// goes to whichever engine the cost model prefers for *its* spec, and the

@@ -19,22 +19,13 @@ use crate::contingency::ContingencyTable;
 /// Cells with `N_xyz = 0` contribute zero (the `x ln x → 0` limit); slices
 /// with `N_++z = 0` are skipped entirely.
 pub fn g2_statistic(table: &ContingencyTable) -> f64 {
-    g2_statistic_scratch(table, &mut Vec::new(), &mut Vec::new())
-}
-
-/// [`g2_statistic`] with caller-provided marginal scratch buffers (resized
-/// as needed). A batch runner evaluating many tables shares one allocation
-/// across the whole batch instead of allocating two vectors per test.
-pub fn g2_statistic_scratch(table: &ContingencyTable, nx: &mut Vec<u64>, ny: &mut Vec<u64>) -> f64 {
     let rx = table.rx();
     let ry = table.ry();
-    nx.clear();
-    nx.resize(rx, 0);
-    ny.clear();
-    ny.resize(ry, 0);
+    let mut nx = vec![0u64; rx];
+    let mut ny = vec![0u64; ry];
     let mut g2 = 0.0f64;
     for z in 0..table.nz() {
-        let nzz = table.slice_marginals(z, nx, ny);
+        let nzz = table.slice_marginals(z, &mut nx, &mut ny);
         if nzz == 0 {
             continue;
         }
@@ -65,29 +56,14 @@ pub fn g2_statistic_scratch(table: &ContingencyTable, nx: &mut Vec<u64>, ny: &mu
 /// * `Adjusted`: per-slice `(nonzero X marginals − 1)(nonzero Y marginals − 1)`
 ///   summed over slices with mass — bnlearn's small-sample correction.
 pub fn g2_degrees_of_freedom(table: &ContingencyTable, rule: DfRule) -> f64 {
-    g2_degrees_of_freedom_scratch(table, rule, &mut Vec::new(), &mut Vec::new())
-}
-
-/// [`g2_degrees_of_freedom`] with caller-provided marginal scratch buffers
-/// (only touched under [`DfRule::Adjusted`], which re-walks the marginals).
-pub fn g2_degrees_of_freedom_scratch(
-    table: &ContingencyTable,
-    rule: DfRule,
-    nx: &mut Vec<u64>,
-    ny: &mut Vec<u64>,
-) -> f64 {
     match rule {
         DfRule::Classic => ((table.rx() - 1) * (table.ry() - 1)) as f64 * table.nz() as f64,
         DfRule::Adjusted => {
-            let rx = table.rx();
-            let ry = table.ry();
-            nx.clear();
-            nx.resize(rx, 0);
-            ny.clear();
-            ny.resize(ry, 0);
+            let mut nx = vec![0u64; table.rx()];
+            let mut ny = vec![0u64; table.ry()];
             let mut df = 0.0;
             for z in 0..table.nz() {
-                let nzz = table.slice_marginals(z, nx, ny);
+                let nzz = table.slice_marginals(z, &mut nx, &mut ny);
                 if nzz == 0 {
                     continue;
                 }

@@ -14,11 +14,10 @@
 //! * [`mi`] — the (conditional) mutual-information view of G² (`G² = 2·N·MI`),
 //! * [`citest`] — a uniform conditional-independence-test front end used by
 //!   the learner ([`CiTestKind`], [`CiOutcome`], degrees-of-freedom rules),
-//! * [`batch`] — a reusable [`batch::TableArena`] of contingency tables
-//!   plus a [`batch::BatchedCiRunner`] that evaluates a whole group of CI
-//!   tests over a shared table-fill pass (one arena, one marginal-scratch
-//!   allocation) with numerics identical to [`citest`]; the arena is also
-//!   the sufficient-statistics store of the score-based learner,
+//! * [`batch`] — reusable table arenas: [`batch::TableArena`] of
+//!   contingency tables, the sufficient-statistics store of the
+//!   score-based learner, and its `f64` sibling [`batch::FactorArena`]
+//!   for exact inference,
 //! * [`engine`] — the pluggable **counting backends** behind every table
 //!   fill: the [`engine::CountEngine`] trait, the historical
 //!   [`engine::TiledScan`] column scan, the [`engine::BitmapEngine`]
@@ -46,7 +45,7 @@ pub mod pearson;
 pub mod simd;
 pub mod special;
 
-pub use batch::{BatchedCiRunner, FactorArena, TableArena, FILL_BLOCK};
+pub use batch::{FactorArena, TableArena, FILL_BLOCK};
 pub use chi2::{chi2_cdf, chi2_critical_value, chi2_sf};
 pub use citest::{CiOutcome, CiTestKind, DfRule};
 pub use contingency::{mixed_radix_strides, ContingencyTable, CountOverflow};

@@ -13,21 +13,13 @@ use crate::gsq::g2_degrees_of_freedom;
 
 /// Compute the raw Pearson X² statistic of a filled contingency table.
 pub fn x2_statistic(table: &ContingencyTable) -> f64 {
-    x2_statistic_scratch(table, &mut Vec::new(), &mut Vec::new())
-}
-
-/// [`x2_statistic`] with caller-provided marginal scratch buffers (resized
-/// as needed); see [`crate::gsq::g2_statistic_scratch`].
-pub fn x2_statistic_scratch(table: &ContingencyTable, nx: &mut Vec<u64>, ny: &mut Vec<u64>) -> f64 {
     let rx = table.rx();
     let ry = table.ry();
-    nx.clear();
-    nx.resize(rx, 0);
-    ny.clear();
-    ny.resize(ry, 0);
+    let mut nx = vec![0u64; rx];
+    let mut ny = vec![0u64; ry];
     let mut x2 = 0.0f64;
     for z in 0..table.nz() {
-        let nzz = table.slice_marginals(z, nx, ny);
+        let nzz = table.slice_marginals(z, &mut nx, &mut ny);
         if nzz == 0 {
             continue;
         }

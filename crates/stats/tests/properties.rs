@@ -2,7 +2,7 @@
 
 use fastbn_stats::{
     chi2_cdf, chi2_sf, conditional_mutual_information, g2_statistic, ln_gamma, regularized_gamma_p,
-    regularized_gamma_q, x2_statistic, BatchedCiRunner, CiTestKind, ContingencyTable, DfRule,
+    regularized_gamma_q, x2_statistic, ContingencyTable,
 };
 use proptest::prelude::*;
 
@@ -67,38 +67,6 @@ proptest! {
             grand += nzz;
         }
         prop_assert_eq!(grand, t.total());
-    }
-
-    /// Batched and unbatched evaluation must agree on arbitrary random
-    /// tables: same p-values (and decisions) for every test kind and df
-    /// rule, with the whole batch sharing one scratch allocation.
-    #[test]
-    fn batched_and_unbatched_pvalues_match(
-        (t1, _) in table_strategy(),
-        (t2, _) in table_strategy(),
-        (t3, _) in table_strategy(),
-    ) {
-        for kind in [CiTestKind::GSquared, CiTestKind::PearsonX2, CiTestKind::MutualInfo] {
-            for rule in [DfRule::Classic, DfRule::Adjusted] {
-                let mut runner = BatchedCiRunner::new();
-                runner.begin();
-                for t in [&t1, &t2, &t3] {
-                    let slot = runner.add_table(t.rx(), t.ry(), t.nz());
-                    runner.tables_mut()[slot].merge(t);
-                }
-                let batched = runner.run(kind, 0.05, rule).to_vec();
-                for (o, t) in batched.iter().zip([&t1, &t2, &t3]) {
-                    let single = fastbn_stats::citest::run_ci_test(t, kind, 0.05, rule);
-                    prop_assert!(
-                        (o.p_value - single.p_value).abs() <= 1e-9,
-                        "{:?}/{:?}: batched p {} vs single p {}",
-                        kind, rule, o.p_value, single.p_value
-                    );
-                    prop_assert_eq!(o.independent, single.independent);
-                    prop_assert!((o.statistic - single.statistic).abs() <= 1e-9);
-                }
-            }
-        }
     }
 
     /// Pooling X categories can never *increase* G² (data-processing

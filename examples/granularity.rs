@@ -1,6 +1,5 @@
-//! Compare the parallelism granularities (paper Figure 1/Table I, plus the
-//! work-stealing scheduler) on one workload, verifying they compute
-//! identical structures.
+//! Compare the parallelism granularities (paper Figure 1/Table I) on one
+//! workload, verifying they compute identical structures.
 //!
 //! ```sh
 //! cargo run --release --example granularity
@@ -28,7 +27,6 @@ fn main() {
     );
     for mode in [
         ParallelMode::CiLevel,
-        ParallelMode::WorkSteal,
         ParallelMode::EdgeLevel,
         ParallelMode::SampleLevel,
     ] {

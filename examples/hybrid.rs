@@ -37,7 +37,7 @@ fn main() {
         (
             "pc-stable",
             Strategy::PcStable(
-                PcConfig::fast_bns_steal()
+                PcConfig::fast_bns()
                     .with_threads(threads)
                     .with_count_engine(engine),
             ),

@@ -51,7 +51,6 @@ fn all_schedulers_and_thread_counts_agree() {
             ParallelMode::EdgeLevel,
             ParallelMode::SampleLevel,
             ParallelMode::CiLevel,
-            ParallelMode::WorkSteal,
         ] {
             for threads in [1usize, 2, 3, 5] {
                 let cfg = PcConfig::fast_bns().with_mode(mode).with_threads(threads);
@@ -70,23 +69,18 @@ fn all_schedulers_and_thread_counts_agree() {
 fn group_sizes_agree() {
     let data = workload(11);
     let reference = PcStable::new(PcConfig::fast_bns_seq()).learn(&data);
-    for mode in [ParallelMode::CiLevel, ParallelMode::WorkSteal] {
-        for gs in [1usize, 2, 3, 6, 8, 16, 64] {
-            let cfg = PcConfig::fast_bns()
-                .with_mode(mode)
-                .with_threads(2)
-                .with_group_size(gs);
-            assert_identical(&data, cfg, &reference, &format!("{mode:?} gs={gs}"));
-        }
+    for gs in [1usize, 2, 3, 6, 8, 16, 64] {
+        let cfg = PcConfig::fast_bns().with_threads(2).with_group_size(gs);
+        assert_identical(&data, cfg, &reference, &format!("gs={gs}"));
     }
 }
 
-/// The work-stealing scheduler's extra degrees of freedom (sharding,
-/// stealing, batched fills) must be invisible in the output: ungrouped
-/// endpoints, precomputed conditioning sets and the row-major layout all
-/// agree with the sequential reference.
+/// The CI-level scheduler's dynamic pool must be invisible in the output
+/// under every general optimization knob: ungrouped endpoints,
+/// precomputed conditioning sets and the row-major layout all agree with
+/// the sequential reference at t=3.
 #[test]
-fn steal_par_agrees_across_knobs() {
+fn ci_par_agrees_across_knobs() {
     let data = workload(61);
     let reference = PcStable::new(PcConfig::fast_bns_seq()).learn(&data);
     for layout in [
@@ -95,7 +89,7 @@ fn steal_par_agrees_across_knobs() {
     ] {
         for cond in [CondSetGen::OnTheFly, CondSetGen::Precomputed] {
             for grouping in [true, false] {
-                let cfg = PcConfig::fast_bns_steal()
+                let cfg = PcConfig::fast_bns()
                     .with_threads(3)
                     .with_layout(layout)
                     .with_cond_sets(cond)
@@ -104,7 +98,7 @@ fn steal_par_agrees_across_knobs() {
                     &data,
                     cfg,
                     &reference,
-                    &format!("steal {layout:?}/{cond:?}/grouping={grouping}"),
+                    &format!("ci-level {layout:?}/{cond:?}/grouping={grouping}"),
                 );
             }
         }
@@ -113,9 +107,7 @@ fn steal_par_agrees_across_knobs() {
 
 /// The counting backend is a pure implementation detail: every engine
 /// policy (tiled, bitmap, per-query auto) produces identical skeletons,
-/// sepsets and CPDAGs under every scheduler, thread count and layout —
-/// including the batched depth-0 sweep and the batched CI groups, whose
-/// fills all route through the engine seam.
+/// sepsets and CPDAGs under every scheduler, thread count and layout.
 #[test]
 fn count_engines_agree_across_schedulers() {
     let data = workload(91);
@@ -131,7 +123,6 @@ fn count_engines_agree_across_schedulers() {
             ParallelMode::Sequential,
             ParallelMode::EdgeLevel,
             ParallelMode::CiLevel,
-            ParallelMode::WorkSteal,
         ] {
             for threads in [1usize, 3] {
                 let cfg = PcConfig::fast_bns()
@@ -146,10 +137,10 @@ fn count_engines_agree_across_schedulers() {
                 );
             }
         }
-        // The row-major layout under the bitmap-capable steal scheduler:
-        // the bitmap engine ignores layout entirely, the tiled engine must
-        // agree from the other side.
-        let cfg = PcConfig::fast_bns_steal()
+        // The row-major layout under the CI-level scheduler: the bitmap
+        // engine ignores layout entirely, the tiled engine must agree from
+        // the other side.
+        let cfg = PcConfig::fast_bns()
             .with_threads(2)
             .with_layout(fastbn_data::Layout::RowMajor)
             .with_count_engine(engine);
@@ -264,11 +255,7 @@ fn hybrid_agrees_across_skeleton_schedulers() {
         cfg.pc = PcConfig::fast_bns_seq();
         HybridLearner::new(cfg).learn(&data)
     };
-    for mode in [
-        ParallelMode::EdgeLevel,
-        ParallelMode::CiLevel,
-        ParallelMode::WorkSteal,
-    ] {
+    for mode in [ParallelMode::EdgeLevel, ParallelMode::CiLevel] {
         for threads in [1usize, 3] {
             let mut cfg = HybridConfig::fast_bns();
             cfg.pc = PcConfig::fast_bns().with_mode(mode).with_threads(threads);

@@ -48,19 +48,14 @@ fn sample_dataset_is_identical_across_thread_counts() {
 }
 
 /// `with_threads(1)` through `with_threads(8)` learn identical skeletons,
-/// separating-set decisions and CPDAGs on a fixed seed — across all
-/// parallel granularities, including the work-stealing scheduler whose
-/// steal interleavings differ on every run.
+/// separating-set decisions and CPDAGs on a fixed seed — across the
+/// parallel granularities, whose pool interleavings differ on every run.
 #[test]
 fn thread_count_does_not_change_learned_structure() {
     let net = zoo::by_name("alarm", 11).unwrap();
     let data = net.sample_dataset(2000, 7);
     let reference = PcStable::new(PcConfig::fast_bns().with_threads(1)).learn(&data);
-    for mode in [
-        ParallelMode::CiLevel,
-        ParallelMode::EdgeLevel,
-        ParallelMode::WorkSteal,
-    ] {
+    for mode in [ParallelMode::CiLevel, ParallelMode::EdgeLevel] {
         for threads in [1usize, 2, 4, 8] {
             let cfg = PcConfig::fast_bns().with_mode(mode).with_threads(threads);
             let got = PcStable::new(cfg).learn(&data);
@@ -191,7 +186,7 @@ fn bitmap_engine_reproduces_tiled_results_across_thread_counts() {
     .learn(&data);
     for threads in [1usize, 2, 4, 8] {
         let pc = PcStable::new(
-            PcConfig::fast_bns_steal()
+            PcConfig::fast_bns()
                 .with_threads(threads)
                 .with_count_engine(EngineSelect::ForceBitmap),
         )
@@ -268,7 +263,7 @@ fn simd_tier_and_index_kind_do_not_change_learned_structure() {
         // build, so a clone is what picks up the compressed default.
         let run_data = data.clone();
         let pc = PcStable::new(
-            PcConfig::fast_bns_steal()
+            PcConfig::fast_bns()
                 .with_threads(threads)
                 .with_count_engine(EngineSelect::ForceBitmap),
         )
@@ -367,20 +362,17 @@ fn instrumentation_does_not_change_results() {
 }
 
 /// Repeated learning on the same dataset is deterministic even in the
-/// parallel modes (the work pool changes the order of CI tests, never the
-/// outcome) — including under work stealing, where victim selection and
-/// steal timing differ between runs.
+/// parallel modes: the work pool changes the order of CI tests between
+/// runs, never the outcome.
 #[test]
 fn repeated_parallel_runs_are_identical() {
     let net = zoo::by_name("insurance", 5).unwrap();
     let data = net.sample_dataset(1200, 21);
-    for mode in [ParallelMode::CiLevel, ParallelMode::WorkSteal] {
-        let cfg = || PcConfig::fast_bns().with_mode(mode).with_threads(4);
-        let first = PcStable::new(cfg()).learn(&data);
-        for _ in 0..3 {
-            let again = PcStable::new(cfg()).learn(&data);
-            assert_eq!(again.skeleton(), first.skeleton(), "{mode:?}");
-            assert_eq!(again.cpdag(), first.cpdag(), "{mode:?}");
-        }
+    let cfg = || PcConfig::fast_bns().with_threads(4);
+    let first = PcStable::new(cfg()).learn(&data);
+    for _ in 0..3 {
+        let again = PcStable::new(cfg()).learn(&data);
+        assert_eq!(again.skeleton(), first.skeleton());
+        assert_eq!(again.cpdag(), first.cpdag());
     }
 }
