@@ -5,8 +5,10 @@
 //! subsets of its candidate set. A naive implementation materializes that
 //! list per edge; Fast-BNS instead stores only the progress index `r` and
 //! computes the `r`-th subset *directly*, in lexicographic order, when a
-//! thread resumes the edge — `unrank_combination(p, q, r)` here. This keeps
-//! the work-pool entry at two words and lets any thread resume any edge.
+//! thread resumes the edge — `unrank_combination(p, q, r)` here. The
+//! candidate pools themselves live once per depth in the shared adjacency
+//! snapshot (`skeleton::common::Adjacency`), so a work-pool entry is just
+//! the edge and its progress index, and any thread can resume any edge.
 
 /// Binomial coefficient `C(n, k)`, saturating at `u64::MAX`.
 ///

@@ -2,21 +2,24 @@
 //! §IV-B).
 //!
 //! All of a depth's edges enter a dynamic work pool with zero progress.
-//! Workers repeatedly pop an edge, run its next group of `gs` CI tests
-//! with a private engine, then either terminate the edge (separator found
-//! or tests exhausted) or push it back with advanced progress. Because a
-//! popped edge is owned by exactly one worker, contingency tables are
-//! never shared (no atomics), and because edges circulate in small slices,
-//! a straggler edge with thousands of tests is interleaved across the
-//! whole team instead of pinning one thread (load balance). Completed
-//! edges leave the pool immediately, cancelling their remaining CI tests —
-//! the "edge monitoring" early termination.
+//! A pool entry is only the edge, its test counts and a progress index;
+//! every worker reads the candidate pools from the depth's one shared
+//! [`Adjacency`] snapshot. Workers repeatedly pop an edge, run its next
+//! group of `gs` CI tests with a private engine, then either terminate
+//! the edge (separator found or tests exhausted) or push it back with
+//! advanced progress. Because a popped edge is owned by exactly one
+//! worker, contingency tables are never shared (no atomics), and because
+//! edges circulate in small slices, a straggler edge with thousands of
+//! tests is interleaved across the whole team instead of pinning one
+//! thread (load balance). Completed edges leave the pool immediately,
+//! cancelling their remaining CI tests — the "edge monitoring" early
+//! termination.
 //!
 //! The pool is a one-shard [`StealPool`]: the paper's single shared LIFO
 //! stack, whose most recently requeued edge (columns still cache-warm) is
 //! popped next.
 
-use super::common::{process_group, CiEngine, EdgeTask, GroupOutcome, Removal};
+use super::common::{process_group, Adjacency, CiEngine, EdgeTask, GroupOutcome, Removal};
 use crate::config::PcConfig;
 use fastbn_data::DataStore;
 use fastbn_parallel::{run_steal_pool, StealPool, StepResult, Team};
@@ -28,6 +31,7 @@ pub fn run_depth(
     team: &Team<'_>,
     data: &dyn DataStore,
     cfg: &PcConfig,
+    adj: &Adjacency,
     tasks: Vec<EdgeTask>,
     d: usize,
 ) -> (Vec<Removal>, u64, u64) {
@@ -43,7 +47,7 @@ pub fn run_depth(
     let pool = StealPool::from_shards(vec![tasks]);
     run_steal_pool(team, &pool, |tid, task| {
         let mut engine = engines[tid].lock();
-        match process_group(&mut engine, task, gs, d) {
+        match process_group(&mut engine, adj, task, gs, d) {
             GroupOutcome::Removed(r) => {
                 removals[tid].lock().push(r);
                 StepResult::Done

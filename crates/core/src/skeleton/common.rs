@@ -1,8 +1,15 @@
-//! Machinery shared by the skeleton schedulers: edge tasks, the CI engine
-//! (contingency fill + test + counters), group processing, and the
-//! per-depth task build and removal merge.
+//! Machinery shared by the skeleton schedulers: the per-depth adjacency
+//! snapshot and edge tasks, the CI engine (contingency fill + test +
+//! counters), group processing, and the per-depth task build and removal
+//! merge.
+//!
+//! Every task of a depth reads its candidate pools from one shared
+//! [`Adjacency`] snapshot (Algorithm 1, lines 6–7), so a work-pool entry
+//! is only an edge, its two test counts and a progress index; the
+//! conditioning set of a rank is unranked straight from the snapshot when
+//! a thread resumes the edge (paper §IV-C3).
 
-use crate::combinations::{all_combinations, binomial, unrank_combination};
+use crate::combinations::{binomial, unrank_combination};
 use crate::config::{CondSetGen, PcConfig};
 #[cfg(test)]
 use fastbn_data::Dataset;
@@ -13,24 +20,54 @@ use fastbn_stats::{
     mixed_radix_strides, CiTestKind, ContingencyTable, CountingBackend, DfRule, FillSpec,
 };
 
+/// The adjacency snapshot `a(·)` of one depth (Algorithm 1, lines 6–7) in
+/// compressed sparse row form: `n + 1` offsets into `2|E|` neighbour ids,
+/// ascending per vertex. All tasks of the depth share it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Adjacency {
+    offsets: Box<[usize]>,
+    ids: Box<[u32]>,
+}
+
+impl Adjacency {
+    /// Snapshot the current adjacency of every vertex of `graph`.
+    pub(crate) fn snapshot(graph: &UGraph) -> Self {
+        let mut offsets = Vec::with_capacity(graph.n() + 1);
+        let mut ids = Vec::with_capacity(2 * graph.edge_count());
+        offsets.push(0);
+        for v in 0..graph.n() {
+            ids.extend(graph.neighbors(v).iter_ones().map(|x| x as u32));
+            offsets.push(ids.len());
+        }
+        Self {
+            offsets: offsets.into(),
+            ids: ids.into(),
+        }
+    }
+
+    /// `a(v)`: the neighbour ids of `v` at snapshot time, ascending.
+    #[inline]
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
+        &self.ids[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+}
+
 /// One schedulable unit of the skeleton phase: an edge (or an ordered
-/// direction of an edge when endpoint grouping is off) together with its
-/// per-depth candidate snapshot and processing progress — exactly what the
-/// paper's dynamic work pool stores.
+/// direction of an edge when endpoint grouping is off), its test counts
+/// and its processing progress — exactly what the paper's dynamic work
+/// pool stores. The candidate pools live in the depth's shared
+/// [`Adjacency`].
 #[derive(Clone, Debug)]
 pub struct EdgeTask {
     /// First endpoint.
     pub u: u32,
     /// Second endpoint.
     pub v: u32,
-    /// Snapshot of `a(u) \ {v}` (always populated).
-    pub cand1: Box<[u32]>,
-    /// Snapshot of `a(v) \ {u}` (empty when endpoint grouping is off —
-    /// then the sibling direction is its own task).
-    pub cand2: Box<[u32]>,
-    /// `C(|cand1|, d)` — CI tests drawn from `cand1`.
+    /// `C(|a(u) \ {v}|, d)` — CI tests drawn from the first pool.
     pub n1: u64,
-    /// `C(|cand2|, d)` — CI tests drawn from `cand2`.
+    /// `C(|a(v) \ {u}|, d)` — CI tests drawn from the second pool (0 when
+    /// endpoint grouping is off — then the sibling direction is its own
+    /// task).
     pub n2: u64,
     /// Next CI-test rank to process, in `0..n1+n2`.
     pub progress: u64,
@@ -48,6 +85,67 @@ impl EdgeTask {
     }
 }
 
+/// One depth's work: the shared adjacency snapshot and the edge tasks
+/// that draw their conditioning sets from it.
+#[derive(Debug)]
+pub struct DepthTasks {
+    /// The snapshot `a(·)` taken before the depth.
+    pub adj: Adjacency,
+    /// The depth's tasks, in edge order.
+    pub tasks: Vec<EdgeTask>,
+}
+
+/// Maps a task's test ranks to conditioning sets — the one rank-to-set
+/// mapping every scheduler and the precomputed path share, plus its
+/// reusable buffers.
+#[derive(Default)]
+pub(crate) struct CondResolver {
+    combo: Vec<usize>,
+    cond: Vec<usize>,
+}
+
+impl CondResolver {
+    /// The conditioning set of test rank `r` of `task` at depth `d`, by
+    /// the mapping [`CiEngine::resolve_cond`] documents.
+    pub(crate) fn resolve(
+        &mut self,
+        adj: &Adjacency,
+        task: &EdgeTask,
+        r: u64,
+        d: usize,
+    ) -> &[usize] {
+        self.cond.clear();
+        if let Some(pre) = &task.precomputed {
+            let start = r as usize * d;
+            self.cond
+                .extend(pre[start..start + d].iter().map(|&x| x as usize));
+        } else {
+            let (of, skip, rank) = if r < task.n1 {
+                (task.u, task.v, r)
+            } else {
+                (task.v, task.u, r - task.n1)
+            };
+            // The pool `a(of) \ {skip}` read in place: `skip` is in
+            // `a(of)` (the task is an edge of the snapshot), and element
+            // `i` of the pool is `a(of)[i + (i ≥ pos(skip))]`.
+            let ids = adj.neighbors(of);
+            let pos = ids.partition_point(|&x| x < skip);
+            debug_assert_eq!(
+                ids.get(pos),
+                Some(&skip),
+                "task is not an edge of the snapshot"
+            );
+            unrank_combination(ids.len() - 1, d, rank, &mut self.combo);
+            self.cond.extend(
+                self.combo
+                    .iter()
+                    .map(|&i| ids[i + usize::from(i >= pos)] as usize),
+            );
+        }
+        &self.cond
+    }
+}
+
 /// An edge removal discovered during a depth, applied to the graph when
 /// the depth's parallel region completes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,9 +156,9 @@ pub struct Removal {
     pub v: u32,
     /// The accepted separating set (variable ids).
     pub sepset: Vec<usize>,
-    /// True if found while conditioning on `cand1` (the `(u,v)` direction);
-    /// used to break ties deterministically when endpoint grouping is off
-    /// and both directions find a separator.
+    /// True if found while conditioning on `a(u) \ {v}` (the `(u,v)`
+    /// direction); used to break ties deterministically when endpoint
+    /// grouping is off and both directions find a separator.
     pub from_first_direction: bool,
 }
 
@@ -230,8 +328,7 @@ pub struct CiEngine<'d, O: CiObserver = NoObserver> {
     max_cells: usize,
     count: CountingBackend,
     table: ContingencyTable,
-    cond_buf: Vec<usize>,
-    combo_buf: Vec<usize>,
+    resolver: CondResolver,
     zmul_buf: Vec<usize>,
     /// CI tests actually performed.
     pub performed: u64,
@@ -259,8 +356,7 @@ impl<'d, O: CiObserver> CiEngine<'d, O> {
             max_cells: cfg.max_table_cells,
             count: CountingBackend::new(cfg.count_engine),
             table: ContingencyTable::new(1, 1, 1),
-            cond_buf: Vec::new(),
-            combo_buf: Vec::new(),
+            resolver: CondResolver::default(),
             zmul_buf: Vec::new(),
             performed: 0,
             skipped: 0,
@@ -302,25 +398,12 @@ impl<'d, O: CiObserver> CiEngine<'d, O> {
     }
 
     /// Resolve the conditioning set of test rank `r` of `task` into this
-    /// engine's buffer and return it. Under on-the-fly generation this is a
-    /// combination unranking; under precomputation it is a slice copy.
-    pub fn resolve_cond(&mut self, task: &EdgeTask, r: u64, d: usize) -> &[usize] {
-        self.cond_buf.clear();
-        if let Some(pre) = &task.precomputed {
-            let start = r as usize * d;
-            self.cond_buf
-                .extend(pre[start..start + d].iter().map(|&x| x as usize));
-        } else {
-            let (pool, rank): (&[u32], u64) = if r < task.n1 {
-                (&task.cand1, r)
-            } else {
-                (&task.cand2, r - task.n1)
-            };
-            unrank_combination(pool.len(), d, rank, &mut self.combo_buf);
-            self.cond_buf
-                .extend(self.combo_buf.iter().map(|&i| pool[i] as usize));
-        }
-        &self.cond_buf
+    /// engine's buffer and return it. Ranks `0..n1` are the lexicographic
+    /// `d`-subsets of `a(u) \ {v}`, unranked from `adj` on the fly; ranks
+    /// `n1..` those of `a(v) \ {u}`; a precomputed task reads its
+    /// materialized slice instead.
+    pub fn resolve_cond(&mut self, adj: &Adjacency, task: &EdgeTask, r: u64, d: usize) -> &[usize] {
+        self.resolver.resolve(adj, task, r, d)
     }
 }
 
@@ -342,6 +425,7 @@ pub enum GroupOutcome {
 /// group sizes.
 pub fn process_group<O: CiObserver>(
     engine: &mut CiEngine<'_, O>,
+    adj: &Adjacency,
     mut task: EdgeTask,
     gs: u64,
     d: usize,
@@ -349,24 +433,21 @@ pub fn process_group<O: CiObserver>(
     let total = task.total_tests();
     let end = (task.progress + gs).min(total);
     let mut accepted: Option<Removal> = None;
+    // Borrow the resolver out of the engine so the resolved set feeds
+    // `run` in place; it is copied only on acceptance.
+    let mut resolver = std::mem::take(&mut engine.resolver);
     for r in task.progress..end {
-        let from_first = r < task.n1;
-        let cond = engine.resolve_cond(&task, r, d);
-        let cond_owned: Vec<usize>; // only materialized on acceptance
-        let independent = {
-            // `resolve_cond` borrows the engine; copy out before `run`.
-            cond_owned = cond.to_vec();
-            engine.run(task.u as usize, task.v as usize, &cond_owned)
-        };
-        if independent && accepted.is_none() {
+        let cond = resolver.resolve(adj, &task, r, d);
+        if engine.run(task.u as usize, task.v as usize, cond) && accepted.is_none() {
             accepted = Some(Removal {
                 u: task.u,
                 v: task.v,
-                sepset: cond_owned,
-                from_first_direction: from_first,
+                sepset: cond.to_vec(),
+                from_first_direction: r < task.n1,
             });
         }
     }
+    engine.resolver = resolver;
     if let Some(removal) = accepted {
         GroupOutcome::Removed(removal)
     } else if end >= total {
@@ -377,104 +458,72 @@ pub fn process_group<O: CiObserver>(
     }
 }
 
-/// Build the per-depth task list from the current graph (Algorithm 1,
-/// lines 6–9: record all adjacency snapshots, then enumerate edges).
+/// Build the per-depth work from the current graph (Algorithm 1, lines
+/// 6–9): record the adjacency snapshot of every vertex once, then
+/// enumerate the edges in lexicographic order.
 ///
-/// Returns the tasks for depth `d`. An edge contributes no task when both
-/// candidate pools are smaller than `d` (no conditioning set of size `d`
-/// exists); the depth loop terminates when no edge contributes (line 20).
-pub fn build_tasks(graph: &UGraph, d: usize, cfg: &PcConfig) -> Vec<EdgeTask> {
-    let mut tasks = Vec::new();
-    for (u, v) in graph.edges() {
-        let cand = |a: usize, b: usize| -> Box<[u32]> {
-            graph
-                .neighbors(a)
-                .iter_ones()
-                .filter(|&x| x != b)
-                .map(|x| x as u32)
-                .collect()
-        };
-        let c1 = cand(u, v);
-        let c2 = cand(v, u);
-        if cfg.group_endpoints {
-            let n1 = binomial(c1.len(), d);
-            // At depth 0 both pools yield the same (empty) conditioning
-            // set; testing it twice would be pure redundancy, and the
-            // paper treats depth 0 as exactly one marginal test per edge.
-            let n2 = if d == 0 { 0 } else { binomial(c2.len(), d) };
-            if n1 + n2 == 0 {
-                continue;
-            }
-            tasks.push(make_task(u as u32, v as u32, c1, c2, n1, n2, d, cfg));
-        } else {
-            // Original PC-stable: two ordered directions, each its own task.
-            let n1 = binomial(c1.len(), d);
-            if n1 > 0 {
-                tasks.push(make_task(
-                    u as u32,
-                    v as u32,
-                    c1,
-                    Box::new([]),
-                    n1,
-                    0,
-                    d,
-                    cfg,
-                ));
-            }
-            let n2 = binomial(c2.len(), d);
-            if n2 > 0 {
-                tasks.push(make_task(
-                    v as u32,
-                    u as u32,
-                    c2,
-                    Box::new([]),
-                    n2,
-                    0,
-                    d,
-                    cfg,
-                ));
+/// An edge contributes no task when both candidate pools are smaller than
+/// `d` (no conditioning set of size `d` exists); the depth loop terminates
+/// when no edge contributes (line 20). Tasks hold no candidate copies:
+/// they read their pools from the returned snapshot.
+pub fn build_tasks(graph: &UGraph, d: usize, cfg: &PcConfig) -> DepthTasks {
+    let adj = Adjacency::snapshot(graph);
+    let mut tasks = Vec::with_capacity(graph.edge_count());
+    for u in 0..graph.n() as u32 {
+        let a_u = adj.neighbors(u);
+        for &v in a_u.iter().filter(|&&v| v > u) {
+            // |a(u) \ {v}| and |a(v) \ {u}|.
+            let (p1, p2) = (a_u.len() - 1, adj.neighbors(v).len() - 1);
+            if cfg.group_endpoints {
+                let n1 = binomial(p1, d);
+                // At depth 0 both pools yield the same (empty) conditioning
+                // set; testing it twice would be pure redundancy, and the
+                // paper treats depth 0 as exactly one marginal test per edge.
+                let n2 = if d == 0 { 0 } else { binomial(p2, d) };
+                if n1 + n2 > 0 {
+                    tasks.push(make_task(&adj, u, v, n1, n2, d, cfg));
+                }
+            } else {
+                // Original PC-stable: two ordered directions, each its own task.
+                for (a, b, n) in [(u, v, binomial(p1, d)), (v, u, binomial(p2, d))] {
+                    if n > 0 {
+                        tasks.push(make_task(&adj, a, b, n, 0, d, cfg));
+                    }
+                }
             }
         }
     }
-    tasks
+    DepthTasks { adj, tasks }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn make_task(
+    adj: &Adjacency,
     u: u32,
     v: u32,
-    cand1: Box<[u32]>,
-    cand2: Box<[u32]>,
     n1: u64,
     n2: u64,
     d: usize,
     cfg: &PcConfig,
 ) -> EdgeTask {
-    let precomputed = match cfg.cond_sets {
-        CondSetGen::OnTheFly => None,
-        CondSetGen::Precomputed => {
-            // Materialize every conditioning set up front (the strategy the
-            // paper replaces; kept for the ablation benches).
-            let mut flat: Vec<u32> = Vec::with_capacity(((n1 + n2) as usize) * d);
-            for combo in all_combinations(cand1.len(), d) {
-                flat.extend(combo.iter().map(|&i| cand1[i]));
-            }
-            for combo in all_combinations(cand2.len(), d) {
-                flat.extend(combo.iter().map(|&i| cand2[i]));
-            }
-            Some(flat.into_boxed_slice())
-        }
-    };
-    EdgeTask {
+    let mut task = EdgeTask {
         u,
         v,
-        cand1,
-        cand2,
         n1,
         n2,
         progress: 0,
-        precomputed,
+        precomputed: None,
+    };
+    if cfg.cond_sets == CondSetGen::Precomputed {
+        // Materialize every conditioning set up front (the strategy the
+        // paper replaces; kept for the ablation benches).
+        let mut resolver = CondResolver::default();
+        let mut flat: Vec<u32> = Vec::with_capacity(task.total_tests() as usize * d);
+        for r in 0..task.total_tests() {
+            flat.extend(resolver.resolve(adj, &task, r, d).iter().map(|&x| x as u32));
+        }
+        task.precomputed = Some(flat.into_boxed_slice());
     }
+    task
 }
 
 /// Apply a depth's removals to the graph and sepset store. Duplicate
@@ -508,7 +557,9 @@ pub fn apply_removals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combinations::all_combinations;
     use fastbn_graph::SepSets;
+    use proptest::prelude::*;
 
     fn xor_data() -> Dataset {
         // x, y independent fair bits; w = x (copy). splitmix64 gives
@@ -573,8 +624,9 @@ mod tests {
     #[test]
     fn build_tasks_grouped_vs_ungrouped() {
         let g = UGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (1, 3)]);
-        let grouped = build_tasks(&g, 1, &PcConfig::fast_bns_seq());
-        let ungrouped = build_tasks(&g, 1, &PcConfig::fast_bns_seq().with_group_endpoints(false));
+        let grouped = build_tasks(&g, 1, &PcConfig::fast_bns_seq()).tasks;
+        let ungrouped =
+            build_tasks(&g, 1, &PcConfig::fast_bns_seq().with_group_endpoints(false)).tasks;
         // Grouped: one task per edge that has any candidate.
         assert_eq!(grouped.len(), 4);
         // Ungrouped: one per direction with a nonempty pool.
@@ -590,7 +642,7 @@ mod tests {
     #[test]
     fn depth0_tasks_have_single_test() {
         let g = UGraph::complete(4);
-        let tasks = build_tasks(&g, 0, &PcConfig::fast_bns_seq());
+        let tasks = build_tasks(&g, 0, &PcConfig::fast_bns_seq()).tasks;
         assert_eq!(tasks.len(), 6);
         for t in &tasks {
             assert_eq!(t.total_tests(), 1, "exactly one marginal test per edge");
@@ -601,7 +653,7 @@ mod tests {
     fn termination_no_tasks_when_depth_exceeds_candidates() {
         let g = UGraph::from_edges(3, &[(0, 1), (1, 2)]);
         // Depth 2: a(u)\{v} has at most 1 element everywhere.
-        let tasks = build_tasks(&g, 2, &PcConfig::fast_bns_seq());
+        let tasks = build_tasks(&g, 2, &PcConfig::fast_bns_seq()).tasks;
         assert!(tasks.is_empty());
     }
 
@@ -613,14 +665,108 @@ mod tests {
         let cfg_pre = PcConfig::fast_bns_seq().with_cond_sets(CondSetGen::Precomputed);
         let fly = build_tasks(&g, d, &cfg_fly);
         let pre = build_tasks(&g, d, &cfg_pre);
+        assert_eq!(fly.adj, pre.adj);
         let data = xor_data(); // engine only used for buffers here
         let mut engine = CiEngine::new(&data, &cfg_fly);
-        for (tf, tp) in fly.iter().zip(pre.iter()) {
+        for (tf, tp) in fly.tasks.iter().zip(pre.tasks.iter()) {
             assert_eq!((tf.u, tf.v, tf.n1, tf.n2), (tp.u, tp.v, tp.n1, tp.n2));
+            assert!(tf.precomputed.is_none() && tp.precomputed.is_some());
             for r in 0..tf.total_tests() {
-                let a = engine.resolve_cond(tf, r, d).to_vec();
-                let b = engine.resolve_cond(tp, r, d).to_vec();
+                let a = engine.resolve_cond(&fly.adj, tf, r, d).to_vec();
+                let b = engine.resolve_cond(&pre.adj, tp, r, d).to_vec();
                 assert_eq!(a, b, "task ({},{}) rank {r}", tf.u, tf.v);
+            }
+        }
+    }
+
+    #[test]
+    fn depth_tasks_share_one_snapshot() {
+        // The whole depth-0 work of a complete graph is one CSR snapshot
+        // of 2|E| ids plus fixed-size tasks: no per-edge pool copies.
+        let work = build_tasks(&UGraph::complete(64), 0, &PcConfig::fast_bns_seq());
+        assert_eq!(work.adj.ids.len(), 64 * 63);
+        assert_eq!(work.adj.offsets.len(), 65);
+        assert_eq!(work.tasks.len(), 64 * 63 / 2);
+        assert!(work.tasks.iter().all(|t| t.precomputed.is_none()));
+        assert!(std::mem::size_of::<EdgeTask>() <= 48);
+    }
+
+    /// Random undirected graph on `n` vertices, each pair an edge with
+    /// probability `p_percent`%.
+    fn random_graph(n: usize, p_percent: u64, seed: u64) -> UGraph {
+        let mut g = UGraph::empty(n);
+        let mut state = seed | 1;
+        for v in 1..n {
+            for u in 0..v {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state % 100 < p_percent {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    /// The conditioning sets of `task`, in rank order, built the way the
+    /// naive baseline does: copy each pool out of a per-vertex snapshot
+    /// and materialize every combination of it.
+    fn oracle_sets(snapshots: &[Vec<usize>], task: &EdgeTask, d: usize) -> Vec<Vec<usize>> {
+        let pool = |a: u32, b: u32| -> Vec<usize> {
+            snapshots[a as usize]
+                .iter()
+                .copied()
+                .filter(|&x| x != b as usize)
+                .collect()
+        };
+        let mut sets = Vec::new();
+        let mut directions = vec![pool(task.u, task.v)];
+        if task.n2 > 0 {
+            directions.push(pool(task.v, task.u));
+        }
+        for p in directions {
+            for combo in all_combinations(p.len(), d) {
+                sets.push(combo.iter().map(|&i| p[i]).collect());
+            }
+        }
+        sets
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every rank of every task resolves, through the shared snapshot,
+        /// to the set an independent copy-and-enumerate oracle yields —
+        /// grouped and ungrouped, on-the-fly and precomputed, d = 0..=3.
+        #[test]
+        fn shared_snapshot_resolves_like_the_oracle(
+            n in 2usize..12,
+            p in 0u64..100,
+            seed in any::<u64>(),
+        ) {
+            let g = random_graph(n, p, seed);
+            let snapshots: Vec<Vec<usize>> = (0..n).map(|v| g.neighbor_list(v)).collect();
+            let data = xor_data(); // engine only used for buffers here
+            let mut engine = CiEngine::new(&data, &PcConfig::fast_bns_seq());
+            for grouped in [true, false] {
+                for cond_sets in [CondSetGen::OnTheFly, CondSetGen::Precomputed] {
+                    let cfg = PcConfig::fast_bns_seq()
+                        .with_group_endpoints(grouped)
+                        .with_cond_sets(cond_sets);
+                    for d in 0..=3 {
+                        let work = build_tasks(&g, d, &cfg);
+                        for task in &work.tasks {
+                            prop_assert!(g.has_edge(task.u as usize, task.v as usize));
+                            let want = oracle_sets(&snapshots, task, d);
+                            prop_assert_eq!(want.len() as u64, task.total_tests());
+                            for (r, set) in want.iter().enumerate() {
+                                let got = engine.resolve_cond(&work.adj, task, r as u64, d);
+                                prop_assert_eq!(got, &set[..]);
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -630,12 +776,12 @@ mod tests {
         let data = xor_data();
         let cfg = PcConfig::fast_bns_seq();
         let g = UGraph::complete(3);
-        let tasks = build_tasks(&g, 1, &cfg);
+        let DepthTasks { adj, tasks } = build_tasks(&g, 1, &cfg);
         let mut engine = CiEngine::new(&data, &cfg);
         // Edge (0,1) at depth 1 has 2 tests (cond {2} from each side).
         let t01 = tasks.into_iter().find(|t| (t.u, t.v) == (0, 1)).unwrap();
         assert_eq!(t01.total_tests(), 2);
-        match process_group(&mut engine, t01, 1, 1) {
+        match process_group(&mut engine, &adj, t01, 1, 1) {
             // x ⟂ y given w still independent ⇒ removed at first test.
             GroupOutcome::Removed(r) => {
                 assert_eq!(r.sepset, vec![2]);
@@ -653,10 +799,10 @@ mod tests {
         let data = xor_data();
         let cfg = PcConfig::fast_bns_seq();
         let g = UGraph::complete(3);
-        let tasks = build_tasks(&g, 1, &cfg);
+        let DepthTasks { adj, tasks } = build_tasks(&g, 1, &cfg);
         let t01 = tasks.into_iter().find(|t| (t.u, t.v) == (0, 1)).unwrap();
         let mut engine = CiEngine::new(&data, &cfg);
-        match process_group(&mut engine, t01, 2, 1) {
+        match process_group(&mut engine, &adj, t01, 2, 1) {
             GroupOutcome::Removed(r) => assert_eq!(r.sepset, vec![2]),
             _ => panic!("expected removal"),
         }

@@ -8,7 +8,7 @@
 //! while others idle — is inherent to this static split and is what the
 //! Figure 2 benchmark exposes.
 
-use super::common::{process_group, CiEngine, EdgeTask, GroupOutcome, Removal};
+use super::common::{process_group, Adjacency, CiEngine, EdgeTask, GroupOutcome, Removal};
 use crate::config::PcConfig;
 use fastbn_data::DataStore;
 use fastbn_parallel::{chunk_ranges, Team};
@@ -20,6 +20,7 @@ pub fn run_depth(
     team: &Team<'_>,
     data: &dyn DataStore,
     cfg: &PcConfig,
+    adj: &Adjacency,
     mut tasks: Vec<EdgeTask>,
     d: usize,
 ) -> (Vec<Removal>, u64, u64) {
@@ -43,7 +44,7 @@ pub fn run_depth(
         let mut removals = Vec::new();
         for mut task in my_tasks {
             loop {
-                match process_group(&mut engine, task, gs, d) {
+                match process_group(&mut engine, adj, task, gs, d) {
                     GroupOutcome::Removed(r) => {
                         removals.push(r);
                         break;

@@ -23,7 +23,7 @@ pub mod seq;
 use crate::config::{ParallelMode, PcConfig};
 use crate::progress::{NoProgress, ProgressSink};
 use crate::stats_run::DepthStats;
-use common::{apply_removals, build_tasks, CiEngine, CiObserver, NoObserver};
+use common::{apply_removals, build_tasks, CiEngine, CiObserver, DepthTasks, NoObserver};
 use fastbn_data::DataStore;
 #[cfg(test)]
 use fastbn_data::Dataset;
@@ -86,8 +86,8 @@ fn learn_skeleton_inner<O: CiObserver>(
                 &mut graph,
                 &mut sepsets,
                 &mut depth_stats,
-                |graph, sepsets, tasks, d| {
-                    seq::run_depth(graph, sepsets, data, cfg, tasks, d, &mut engine)
+                |graph, sepsets, DepthTasks { adj, tasks }, d| {
+                    seq::run_depth(graph, sepsets, cfg, &adj, tasks, d, &mut engine)
                 },
             );
         }
@@ -99,18 +99,18 @@ fn learn_skeleton_inner<O: CiObserver>(
                     &mut graph,
                     &mut sepsets,
                     &mut depth_stats,
-                    |graph, sepsets, tasks, d| {
+                    |graph, sepsets, DepthTasks { adj, tasks }, d| {
                         let (removals, performed, _skipped) = match mode {
                             ParallelMode::CiLevel if d > 0 => {
-                                ci_par::run_depth(team, data, cfg, tasks, d)
+                                ci_par::run_depth(team, data, cfg, &adj, tasks, d)
                             }
                             // CiLevel at depth 0: tests known up front ⇒
                             // the static edge split.
                             ParallelMode::CiLevel | ParallelMode::EdgeLevel => {
-                                edge_par::run_depth(team, data, cfg, tasks, d)
+                                edge_par::run_depth(team, data, cfg, &adj, tasks, d)
                             }
                             ParallelMode::SampleLevel => {
-                                sample_par::run_depth(team, data, cfg, tasks, d)
+                                sample_par::run_depth(team, data, cfg, &adj, tasks, d)
                             }
                             ParallelMode::Sequential => unreachable!("handled above"),
                         };
@@ -134,7 +134,7 @@ fn run_depth_loop(
     graph: &mut UGraph,
     sepsets: &mut SepSets,
     depth_stats: &mut Vec<DepthStats>,
-    mut run_depth: impl FnMut(&mut UGraph, &mut SepSets, Vec<common::EdgeTask>, usize) -> (u64, usize),
+    mut run_depth: impl FnMut(&mut UGraph, &mut SepSets, DepthTasks, usize) -> (u64, usize),
 ) {
     let mut d = 0usize;
     loop {
@@ -143,13 +143,13 @@ fn run_depth_loop(
                 break;
             }
         }
-        let tasks = build_tasks(graph, d, cfg);
-        if tasks.is_empty() {
+        let work = build_tasks(graph, d, cfg);
+        if work.tasks.is_empty() {
             break;
         }
         let edges_at_start = graph.edge_count();
         let started = Instant::now();
-        let (ci_tests, edges_removed) = run_depth(graph, sepsets, tasks, d);
+        let (ci_tests, edges_removed) = run_depth(graph, sepsets, work, d);
         depth_stats.push(DepthStats {
             depth: d,
             edges_at_start,

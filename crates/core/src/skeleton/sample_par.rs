@@ -14,8 +14,7 @@
 //! workload is too small to amortize the parallel overhead — the paper's
 //! second criticism, visible in the Figure 2 reproduction.
 
-use super::common::{fill_with, z_strides, EdgeTask, Removal};
-use crate::combinations::unrank_combination;
+use super::common::{fill_with, z_strides, Adjacency, CondResolver, EdgeTask, Removal};
 use crate::config::{PcConfig, SampleFill};
 use fastbn_data::DataStore;
 use fastbn_parallel::{chunk_ranges, Team};
@@ -23,6 +22,7 @@ use fastbn_stats::citest::run_ci_test;
 use fastbn_stats::contingency::AtomicContingencyTable;
 use fastbn_stats::ContingencyTable;
 use parking_lot::Mutex;
+use std::collections::HashSet;
 
 /// Run one depth with per-test sample parallelism on `team`.
 /// Returns (removals, CI tests performed, tests skipped). Edges removed
@@ -32,6 +32,7 @@ pub fn run_depth(
     team: &Team<'_>,
     data: &dyn DataStore,
     cfg: &PcConfig,
+    adj: &Adjacency,
     tasks: Vec<EdgeTask>,
     d: usize,
 ) -> (Vec<Removal>, u64, u64) {
@@ -41,18 +42,16 @@ pub fn run_depth(
     let gs = cfg.group_size as u64;
 
     let mut removals: Vec<Removal> = Vec::new();
-    let mut removed_this_depth: Vec<(u32, u32)> = Vec::new();
+    // Edges removed so far this depth, keyed on the normalised pair.
+    let mut removed_this_depth: HashSet<(u32, u32)> = HashSet::new();
+    let edge = |a: u32, b: u32| (a.min(b), a.max(b));
     let mut performed = 0u64;
     let mut skipped = 0u64;
-    let mut combo = Vec::new();
-    let mut cond: Vec<usize> = Vec::new();
+    let mut resolver = CondResolver::default();
     let mut zmul: Vec<usize> = Vec::new();
 
     for task in tasks {
-        if removed_this_depth
-            .iter()
-            .any(|&(a, b)| (a, b) == (task.u, task.v) || (a, b) == (task.v, task.u))
-        {
+        if removed_this_depth.contains(&edge(task.u, task.v)) {
             continue;
         }
         let total = task.total_tests();
@@ -61,25 +60,10 @@ pub fn run_depth(
             let group_end = (r + gs).min(total);
             let mut accepted: Option<Removal> = None;
             for rank in r..group_end {
-                // Resolve the conditioning set (on-the-fly unranking; the
-                // precomputed path reads the materialized slice).
-                cond.clear();
-                if let Some(pre) = &task.precomputed {
-                    let start = rank as usize * d;
-                    cond.extend(pre[start..start + d].iter().map(|&x| x as usize));
-                } else {
-                    let (pool, prank) = if rank < task.n1 {
-                        (&task.cand1, rank)
-                    } else {
-                        (&task.cand2, rank - task.n1)
-                    };
-                    unrank_combination(pool.len(), d, prank, &mut combo);
-                    cond.extend(combo.iter().map(|&i| pool[i] as usize));
-                }
-
+                let cond = resolver.resolve(adj, &task, rank, d);
                 let rx = data.arity(task.u as usize);
                 let ry = data.arity(task.v as usize);
-                let nz = match z_strides(data, &cond, rx, ry, cfg.max_table_cells, &mut zmul) {
+                let nz = match z_strides(data, cond, rx, ry, cfg.max_table_cells, &mut zmul) {
                     Some(nz) => nz.max(1),
                     None => {
                         skipped += 1;
@@ -97,7 +81,7 @@ pub fn run_depth(
                                 cfg.layout,
                                 task.u as usize,
                                 task.v as usize,
-                                &cond,
+                                cond,
                                 &zmul,
                                 ranges[tid].clone(),
                                 |x, y, z| shared.add(x, y, z),
@@ -116,7 +100,7 @@ pub fn run_depth(
                                 cfg.layout,
                                 task.u as usize,
                                 task.v as usize,
-                                &cond,
+                                cond,
                                 &zmul,
                                 ranges[tid].clone(),
                                 |x, y, z| local.add(x, y, z),
@@ -136,13 +120,13 @@ pub fn run_depth(
                     accepted = Some(Removal {
                         u: task.u,
                         v: task.v,
-                        sepset: cond.clone(),
+                        sepset: cond.to_vec(),
                         from_first_direction: rank < task.n1,
                     });
                 }
             }
             if let Some(removal) = accepted {
-                removed_this_depth.push((removal.u, removal.v));
+                removed_this_depth.insert(edge(removal.u, removal.v));
                 removals.push(removal);
                 break 'task;
             }

@@ -8,22 +8,22 @@
 //! further in parallel settings where sibling tasks cannot see each
 //! other's removals.
 
-use super::common::{process_group, CiEngine, CiObserver, EdgeTask, GroupOutcome, Removal};
+use super::common::{
+    process_group, Adjacency, CiEngine, CiObserver, EdgeTask, GroupOutcome, Removal,
+};
 use crate::config::PcConfig;
-use fastbn_data::DataStore;
 use fastbn_graph::{SepSets, UGraph};
 
 /// Run one depth sequentially. Returns (CI tests performed, edges removed).
 pub fn run_depth<O: CiObserver>(
     graph: &mut UGraph,
     sepsets: &mut SepSets,
-    data: &dyn DataStore,
     cfg: &PcConfig,
+    adj: &Adjacency,
     tasks: Vec<EdgeTask>,
     d: usize,
     engine: &mut CiEngine<'_, O>,
 ) -> (u64, usize) {
-    let _ = data; // the engine already borrows the dataset
     let gs = cfg.group_size as u64;
     let before = engine.performed;
     let mut removals: Vec<Removal> = Vec::new();
@@ -34,7 +34,7 @@ pub fn run_depth<O: CiObserver>(
             continue;
         }
         loop {
-            match process_group(engine, task, gs, d) {
+            match process_group(engine, adj, task, gs, d) {
                 GroupOutcome::Removed(removal) => {
                     // Apply immediately: later tasks must observe it.
                     graph.remove_edge(removal.u as usize, removal.v as usize);

@@ -159,7 +159,13 @@ pub fn encode_dataset(e: &mut Enc, data: &Dataset) {
 pub fn decode_dataset(d: &mut Dec) -> Result<Dataset, WireError> {
     let n_vars = d.u32()? as usize;
     let n_samples = usize::try_from(d.u64()?).map_err(|_| WireError::OutOfBounds("n_samples"))?;
-    if n_vars == 0 || n_vars > 1 << 20 {
+    // Each variable costs at least 5 payload bytes (a `u32` name length
+    // and an arity byte): a count the payload cannot hold is rejected
+    // before the name and arity vectors are allocated.
+    if n_vars == 0
+        || n_vars > 1 << 20
+        || n_vars.checked_mul(5).is_none_or(|min| min > d.remaining())
+    {
         return Err(WireError::OutOfBounds("n_vars"));
     }
     let mut names = Vec::with_capacity(n_vars);
@@ -1862,6 +1868,20 @@ mod tests {
         e.u32(2).u64(u64::MAX).str("a").u8(2).str("b").u8(2);
         let bytes = e.into_bytes();
         assert!(decode_dataset(&mut Dec::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn oversized_variable_count_is_rejected_before_allocating() {
+        // 12 bytes: n_vars = 2^20 (within the cap) and n_samples, but no
+        // room for a single name or arity.
+        let mut e = Enc::new();
+        e.u32(1 << 20).u64(1);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(
+            decode_dataset(&mut Dec::new(&bytes)),
+            Err(WireError::OutOfBounds("n_vars"))
+        );
     }
 
     #[test]

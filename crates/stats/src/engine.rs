@@ -332,15 +332,13 @@ impl BitmapEngine {
         Self::default()
     }
 
-    /// Record which kernel tier served a table fill: the
-    /// `fastbn.stats.simd.kernel` gauge holds the dispatched tier
-    /// (0 = scalar, 1 = avx2, 2 = avx512) and the per-tier
+    /// Record which kernel tier served a table fill: the per-tier
     /// `fastbn.stats.simd.*_fills` counters accumulate fills, next to
-    /// the `fastbn.stats.engine.*` pick counters.
+    /// the `fastbn.stats.engine.*` pick counters. (The
+    /// `fastbn.stats.simd.kernel` gauge is set by [`simd`] when the tier
+    /// policy is resolved or changed.)
     fn record_tier(&self) {
-        let tier = simd::active_tier();
-        fastbn_obs::gauge!("fastbn.stats.simd.kernel").set(tier as i64);
-        match tier {
+        match simd::active_tier() {
             SimdTier::Scalar => fastbn_obs::counter!("fastbn.stats.simd.scalar_fills").inc(),
             SimdTier::Avx2 => fastbn_obs::counter!("fastbn.stats.simd.avx2_fills").inc(),
             SimdTier::Avx512 => fastbn_obs::counter!("fastbn.stats.simd.avx512_fills").inc(),
@@ -1041,6 +1039,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn simd_kernel_gauge_tracks_the_active_tier() {
+        let _guard = crate::simd::tier_test_guard();
+        let d = data();
+        let spec = FillSpec {
+            x: 0,
+            y: Some(1),
+            cond: &[],
+            zmul: &[],
+        };
+        let gauge = fastbn_obs::gauge!("fastbn.stats.simd.kernel");
+        let mut tiers = vec![None, Some(SimdTier::Scalar)];
+        if crate::simd::detected_tier() >= SimdTier::Avx2 {
+            tiers.push(Some(SimdTier::Avx2));
+        }
+        for tier in tiers {
+            crate::simd::set_forced_tier(tier);
+            // Published by the policy change itself, before any fill.
+            assert_eq!(gauge.get(), crate::simd::active_tier() as i64, "{tier:?}");
+            let mut t = ContingencyTable::new(2, 3, 1);
+            CountingBackend::new(EngineSelect::ForceBitmap).fill_one(
+                &d,
+                Layout::ColumnMajor,
+                spec,
+                &mut t,
+            );
+            assert_eq!(gauge.get(), crate::simd::active_tier() as i64, "{tier:?}");
+        }
+        crate::simd::set_forced_tier(None);
     }
 
     #[test]

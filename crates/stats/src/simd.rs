@@ -119,6 +119,25 @@ fn assert_supported(tier: SimdTier) {
     );
 }
 
+/// The tier a resolved policy code dispatches to.
+fn policy_tier(code: u8) -> SimdTier {
+    match code {
+        P_SCALAR => SimdTier::Scalar,
+        P_AVX2 => SimdTier::Avx2,
+        P_AVX512 => SimdTier::Avx512,
+        _ => detected_tier(),
+    }
+}
+
+/// Store a resolved policy and publish its tier on the
+/// `fastbn.stats.simd.kernel` gauge (0 = scalar, 1 = avx2, 2 = avx512):
+/// the gauge moves only when the policy is resolved or changed, never
+/// per fill.
+fn store_policy(code: u8) {
+    POLICY.store(code, Ordering::Relaxed);
+    fastbn_obs::gauge!("fastbn.stats.simd.kernel").set(policy_tier(code) as i64);
+}
+
 fn policy_code(tier: Option<SimdTier>) -> u8 {
     match tier {
         None => P_AUTO,
@@ -141,7 +160,7 @@ pub fn set_forced_tier(tier: Option<SimdTier>) {
     if let Some(t) = tier {
         assert_supported(t);
     }
-    POLICY.store(policy_code(tier), Ordering::Relaxed);
+    store_policy(policy_code(tier));
 }
 
 /// The tier the kernels dispatch to right now: the forced tier if one
@@ -166,17 +185,12 @@ pub fn active_tier() -> SimdTier {
                 },
                 Err(_) => P_AUTO,
             };
-            POLICY.store(code, Ordering::Relaxed);
+            store_policy(code);
             code
         }
         code => code,
     };
-    match code {
-        P_SCALAR => SimdTier::Scalar,
-        P_AVX2 => SimdTier::Avx2,
-        P_AVX512 => SimdTier::Avx512,
-        _ => detected_tier(),
-    }
+    policy_tier(code)
 }
 
 /// Calibrated word-op throughput of a tier relative to the tiled scan's
