@@ -1,18 +1,15 @@
-//! Microbench: what the `DataStore` seam costs — a score
-//! sufficient-statistics batch over the resident store vs. a
-//! `ChunkedStore` at a realistic chunk size — plus the daemon-side
-//! payoff: a cached `Learn` round trip by upload-once handle vs.
-//! reshipping the full dataset inline.
+//! Microbench: a score sufficient-statistics batch over a resident
+//! dataset, plus the daemon-side payoff of dataset handles: a cached
+//! `Learn` round trip by upload-once handle vs. reshipping the full
+//! dataset inline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbn_data::{ChunkedStore, DataStore, Dataset, Layout};
+use fastbn_data::{Dataset, Layout};
 use fastbn_network::zoo;
 use fastbn_score::{LocalScorer, ScoreKind};
 use fastbn_serve::{Client, ServeConfig, Server, StrategySpec};
 use std::hint::black_box;
 use std::time::Duration;
-
-const CHUNK_ROWS: usize = 512;
 
 fn alarm_data(rows: usize) -> Dataset {
     zoo::by_name("alarm", 3)
@@ -20,7 +17,7 @@ fn alarm_data(rows: usize) -> Dataset {
         .sample_dataset(rows, 17)
 }
 
-/// Eight candidate parent sets scored in one batch, per store backend.
+/// Eight candidate parent sets scored in one batch.
 fn bench_score_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
     group
@@ -29,7 +26,6 @@ fn bench_score_batch(c: &mut Criterion) {
 
     let data = alarm_data(1000);
     data.bitmap_index();
-    let chunked = ChunkedStore::from_dataset(&data, CHUNK_ROWS, usize::MAX);
     let child = 5usize;
     let sets: Vec<Vec<u32>> = (0..8u32)
         .map(|i| {
@@ -39,25 +35,19 @@ fn bench_score_batch(c: &mut Criterion) {
         })
         .collect();
 
-    let stores: [(&str, &dyn DataStore); 2] = [("resident", &data), ("chunked512", &chunked)];
-    for (label, store) in stores {
-        group.bench_function(
-            BenchmarkId::new(format!("score_batch_{label}"), "alarm_1k"),
-            |b| {
-                let mut scorer = LocalScorer::with_options(
-                    store,
-                    ScoreKind::Bic,
-                    1 << 22,
-                    Layout::ColumnMajor,
-                    fastbn_stats::EngineSelect::Auto,
-                );
-                b.iter(|| {
-                    let sum: f64 = scorer.score_batch(child, &sets).flatten().sum();
-                    black_box(sum)
-                })
-            },
+    group.bench_function(BenchmarkId::new("score_batch_resident", "alarm_1k"), |b| {
+        let mut scorer = LocalScorer::with_options(
+            &data,
+            ScoreKind::Bic,
+            1 << 22,
+            Layout::ColumnMajor,
+            fastbn_stats::EngineSelect::Auto,
         );
-    }
+        b.iter(|| {
+            let sum: f64 = scorer.score_batch(child, &sets).flatten().sum();
+            black_box(sum)
+        })
+    });
     group.finish();
 }
 

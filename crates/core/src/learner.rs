@@ -5,8 +5,6 @@ use crate::orient::orient;
 use crate::progress::{LearnPhase, NoProgress, ProgressSink};
 use crate::skeleton::{learn_skeleton, learn_skeleton_progress};
 use crate::stats_run::RunStats;
-use fastbn_data::DataStore;
-#[cfg(test)]
 use fastbn_data::Dataset;
 use fastbn_graph::{Pdag, SepSets, UGraph};
 use std::time::Instant;
@@ -79,7 +77,7 @@ impl PcStable {
     ///
     /// # Panics
     /// Panics if `data` has fewer than 2 variables.
-    pub fn learn(&self, data: &dyn DataStore) -> LearnResult {
+    pub fn learn(&self, data: &Dataset) -> LearnResult {
         self.learn_with_progress(data, &NoProgress)
     }
 
@@ -91,11 +89,7 @@ impl PcStable {
     ///
     /// # Panics
     /// Panics if `data` has fewer than 2 variables.
-    pub fn learn_with_progress(
-        &self,
-        data: &dyn DataStore,
-        progress: &dyn ProgressSink,
-    ) -> LearnResult {
+    pub fn learn_with_progress(&self, data: &Dataset, progress: &dyn ProgressSink) -> LearnResult {
         assert!(
             data.n_vars() >= 2,
             "structure learning needs at least 2 variables"
@@ -136,7 +130,7 @@ impl PcStable {
     }
 
     /// Run only step 1 (skeleton discovery) — what the paper benchmarks.
-    pub fn learn_skeleton(&self, data: &dyn DataStore) -> (UGraph, SepSets, RunStats) {
+    pub fn learn_skeleton(&self, data: &Dataset) -> (UGraph, SepSets, RunStats) {
         let _span = fastbn_obs::span!("skeleton");
         let t0 = Instant::now();
         let (skeleton, sepsets, depths) = learn_skeleton(data, &self.config);

@@ -21,7 +21,7 @@ use crate::learner::PcStable;
 use crate::progress::{LearnPhase, NoProgress, ProgressSink, SearchSink};
 use crate::skeleton::learn_skeleton_progress;
 use crate::stats_run::RunStats;
-use fastbn_data::{ChunkedStore, DataStore, Dataset};
+use fastbn_data::Dataset;
 use fastbn_graph::{dag_to_cpdag, Dag, Pdag, UGraph};
 use fastbn_score::{HillClimb, HillClimbConfig, SearchStats};
 use std::time::Instant;
@@ -175,7 +175,7 @@ impl StructureResult {
 ///
 /// # Panics
 /// Panics if `data` has fewer than 2 variables.
-pub fn learn_structure(data: &dyn DataStore, strategy: &Strategy) -> StructureResult {
+pub fn learn_structure(data: &Dataset, strategy: &Strategy) -> StructureResult {
     learn_structure_observed(data, strategy, &NoProgress)
 }
 
@@ -189,7 +189,7 @@ pub fn learn_structure(data: &dyn DataStore, strategy: &Strategy) -> StructureRe
 /// # Panics
 /// Panics if `data` has fewer than 2 variables.
 pub fn learn_structure_observed(
-    data: &dyn DataStore,
+    data: &Dataset,
     strategy: &Strategy,
     progress: &dyn ProgressSink,
 ) -> StructureResult {
@@ -197,26 +197,6 @@ pub fn learn_structure_observed(
         data.n_vars() >= 2,
         "structure learning needs at least 2 variables"
     );
-    // Out-of-core funnel: when `FASTBN_CHUNK_ROWS` is set, a resident
-    // dataset is re-homed into a [`ChunkedStore`] so the whole run counts
-    // chunk by chunk under the configured resident-bytes budget
-    // (`FASTBN_CHUNK_BUDGET_BYTES`). Counts are additive over row chunks,
-    // so the learned structure is byte-identical either way.
-    if let Some(resident) = data.as_resident() {
-        if let Some(chunked) = ChunkedStore::from_env(resident) {
-            return learn_structure_impl(&chunked, strategy, progress);
-        }
-    }
-    learn_structure_impl(data, strategy, progress)
-}
-
-/// The strategy dispatch behind [`learn_structure_observed`], after the
-/// out-of-core funnel has settled which store the run uses.
-fn learn_structure_impl(
-    data: &dyn DataStore,
-    strategy: &Strategy,
-    progress: &dyn ProgressSink,
-) -> StructureResult {
     match strategy {
         Strategy::PcStable(cfg) => {
             let result = PcStable::new(cfg.clone()).learn_with_progress(data, progress);
@@ -306,7 +286,7 @@ impl HybridLearner {
     ///
     /// # Panics
     /// Panics if `data` has fewer than 2 variables.
-    pub fn learn(&self, data: &dyn DataStore) -> HybridResult {
+    pub fn learn(&self, data: &Dataset) -> HybridResult {
         self.learn_observed(data, &NoProgress)
     }
 
@@ -320,11 +300,7 @@ impl HybridLearner {
     ///
     /// # Panics
     /// Panics if `data` has fewer than 2 variables.
-    pub fn learn_observed(
-        &self,
-        data: &dyn DataStore,
-        progress: &dyn ProgressSink,
-    ) -> HybridResult {
+    pub fn learn_observed(&self, data: &Dataset, progress: &dyn ProgressSink) -> HybridResult {
         assert!(
             data.n_vars() >= 2,
             "structure learning needs at least 2 variables"

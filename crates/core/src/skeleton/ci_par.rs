@@ -21,7 +21,7 @@
 
 use super::common::{process_group, Adjacency, CiEngine, EdgeTask, GroupOutcome, Removal};
 use crate::config::PcConfig;
-use fastbn_data::DataStore;
+use fastbn_data::Dataset;
 use fastbn_parallel::{run_steal_pool, StealPool, StepResult, Team};
 use parking_lot::Mutex;
 
@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 /// Returns (removals, CI tests performed, tests skipped).
 pub fn run_depth(
     team: &Team<'_>,
-    data: &dyn DataStore,
+    data: &Dataset,
     cfg: &PcConfig,
     adj: &Adjacency,
     tasks: Vec<EdgeTask>,

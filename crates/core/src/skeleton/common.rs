@@ -11,9 +11,7 @@
 
 use crate::combinations::{binomial, unrank_combination};
 use crate::config::{CondSetGen, PcConfig};
-#[cfg(test)]
-use fastbn_data::Dataset;
-use fastbn_data::{DataStore, Layout};
+use fastbn_data::{Dataset, Layout};
 use fastbn_graph::UGraph;
 use fastbn_stats::citest::run_ci_test;
 use fastbn_stats::{
@@ -190,7 +188,7 @@ impl<F: FnMut(u32, u32, &[usize])> CiObserver for F {
 #[inline]
 #[allow(clippy::too_many_arguments)] // hot kernel; a params struct would obscure call sites
 pub fn fill_with(
-    data: &dyn DataStore,
+    data: &Dataset,
     layout: Layout,
     u: usize,
     v: usize,
@@ -199,92 +197,42 @@ pub fn fill_with(
     range: std::ops::Range<usize>,
     mut sink: impl FnMut(usize, usize, usize),
 ) {
-    if let Some(data) = data.as_resident() {
-        // Resident fast path: the historical whole-column kernel, both
-        // layouts, global sample indices.
-        match layout {
-            Layout::ColumnMajor => {
-                let xcol = data.column(u);
-                let ycol = data.column(v);
-                match cond.len() {
-                    0 => {
-                        for s in range {
-                            sink(xcol[s] as usize, ycol[s] as usize, 0);
-                        }
-                    }
-                    1 => {
-                        let z0 = data.column(cond[0]);
-                        for s in range {
-                            sink(xcol[s] as usize, ycol[s] as usize, z0[s] as usize);
-                        }
-                    }
-                    _ => {
-                        let zcols: Vec<&[u8]> = cond.iter().map(|&c| data.column(c)).collect();
-                        for s in range {
-                            let mut z = 0usize;
-                            for (col, &mul) in zcols.iter().zip(zmul) {
-                                z += col[s] as usize * mul;
-                            }
-                            sink(xcol[s] as usize, ycol[s] as usize, z);
-                        }
+    match layout {
+        Layout::ColumnMajor => {
+            let xcol = data.column(u);
+            let ycol = data.column(v);
+            match cond.len() {
+                0 => {
+                    for s in range {
+                        sink(xcol[s] as usize, ycol[s] as usize, 0);
                     }
                 }
-            }
-            Layout::RowMajor => {
-                for s in range {
-                    let row = data.row(s);
-                    let mut z = 0usize;
-                    for (&c, &mul) in cond.iter().zip(zmul) {
-                        z += row[c] as usize * mul;
+                1 => {
+                    let z0 = data.column(cond[0]);
+                    for s in range {
+                        sink(xcol[s] as usize, ycol[s] as usize, z0[s] as usize);
                     }
-                    sink(row[u] as usize, row[v] as usize, z);
+                }
+                _ => {
+                    let zcols: Vec<&[u8]> = cond.iter().map(|&c| data.column(c)).collect();
+                    for s in range {
+                        let mut z = 0usize;
+                        for (col, &mul) in zcols.iter().zip(zmul) {
+                            z += col[s] as usize * mul;
+                        }
+                        sink(xcol[s] as usize, ycol[s] as usize, z);
+                    }
                 }
             }
         }
-        return;
-    }
-    // Chunked store: walk the chunks overlapping `range` in ascending
-    // order, translating global sample indices to chunk-local ones. The
-    // sink sees the exact same `(x, y, z)` stream as the resident path
-    // (chunks partition the rows in order), so counts are byte-identical.
-    // Owned chunks are column-major only; the `RowMajor` layout knob is a
-    // resident-storage experiment and falls through to this path.
-    for ci in 0..data.n_chunks() {
-        let cr = data.chunk_range(ci);
-        let lo = range.start.max(cr.start);
-        let hi = range.end.min(cr.end);
-        if lo >= hi {
-            continue;
-        }
-        let chunk = data.chunk(ci);
-        let base = cr.start;
-        let xcol = chunk.column(u);
-        let ycol = chunk.column(v);
-        match cond.len() {
-            0 => {
-                for s in lo..hi {
-                    sink(xcol[s - base] as usize, ycol[s - base] as usize, 0);
+        Layout::RowMajor => {
+            for s in range {
+                let row = data.row(s);
+                let mut z = 0usize;
+                for (&c, &mul) in cond.iter().zip(zmul) {
+                    z += row[c] as usize * mul;
                 }
-            }
-            1 => {
-                let z0 = chunk.column(cond[0]);
-                for s in lo..hi {
-                    sink(
-                        xcol[s - base] as usize,
-                        ycol[s - base] as usize,
-                        z0[s - base] as usize,
-                    );
-                }
-            }
-            _ => {
-                let zcols: Vec<&[u8]> = cond.iter().map(|&c| chunk.column(c)).collect();
-                for s in lo..hi {
-                    let mut z = 0usize;
-                    for (col, &mul) in zcols.iter().zip(zmul) {
-                        z += col[s - base] as usize * mul;
-                    }
-                    sink(xcol[s - base] as usize, ycol[s - base] as usize, z);
-                }
+                sink(row[u] as usize, row[v] as usize, z);
             }
         }
     }
@@ -296,7 +244,7 @@ pub fn fill_with(
 /// over the workspace-wide radix definition
 /// ([`fastbn_stats::mixed_radix_strides`]).
 pub fn z_strides(
-    data: &dyn DataStore,
+    data: &Dataset,
     cond: &[usize],
     rx: usize,
     ry: usize,
@@ -320,7 +268,7 @@ pub fn z_strides(
 /// this engine at all: sample-level parallelism is its own fill strategy,
 /// measured for its own sake — see [`PcConfig::count_engine`].)
 pub struct CiEngine<'d, O: CiObserver = NoObserver> {
-    data: &'d dyn DataStore,
+    data: &'d Dataset,
     layout: Layout,
     test: CiTestKind,
     df_rule: DfRule,
@@ -339,14 +287,14 @@ pub struct CiEngine<'d, O: CiObserver = NoObserver> {
 
 impl<'d> CiEngine<'d, NoObserver> {
     /// Engine with the default no-op observer.
-    pub fn new(data: &'d dyn DataStore, cfg: &PcConfig) -> Self {
+    pub fn new(data: &'d Dataset, cfg: &PcConfig) -> Self {
         Self::with_observer(data, cfg, NoObserver)
     }
 }
 
 impl<'d, O: CiObserver> CiEngine<'d, O> {
     /// Engine that reports every performed test to `observer`.
-    pub fn with_observer(data: &'d dyn DataStore, cfg: &PcConfig, observer: O) -> Self {
+    pub fn with_observer(data: &'d Dataset, cfg: &PcConfig, observer: O) -> Self {
         Self {
             data,
             layout: cfg.layout,

@@ -10,7 +10,7 @@
 
 use super::common::{process_group, Adjacency, CiEngine, EdgeTask, GroupOutcome, Removal};
 use crate::config::PcConfig;
-use fastbn_data::DataStore;
+use fastbn_data::Dataset;
 use fastbn_parallel::{chunk_ranges, Team};
 use parking_lot::Mutex;
 
@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 /// Returns (removals, CI tests performed, tests skipped).
 pub fn run_depth(
     team: &Team<'_>,
-    data: &dyn DataStore,
+    data: &Dataset,
     cfg: &PcConfig,
     adj: &Adjacency,
     mut tasks: Vec<EdgeTask>,

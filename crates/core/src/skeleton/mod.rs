@@ -24,8 +24,6 @@ use crate::config::{ParallelMode, PcConfig};
 use crate::progress::{NoProgress, ProgressSink};
 use crate::stats_run::DepthStats;
 use common::{apply_removals, build_tasks, CiEngine, CiObserver, DepthTasks, NoObserver};
-use fastbn_data::DataStore;
-#[cfg(test)]
 use fastbn_data::Dataset;
 use fastbn_graph::{SepSets, UGraph};
 use fastbn_parallel::Team;
@@ -35,7 +33,7 @@ use std::time::Instant;
 ///
 /// Returns the undirected skeleton, the separating sets, and per-depth
 /// statistics.
-pub fn learn_skeleton(data: &dyn DataStore, cfg: &PcConfig) -> (UGraph, SepSets, Vec<DepthStats>) {
+pub fn learn_skeleton(data: &Dataset, cfg: &PcConfig) -> (UGraph, SepSets, Vec<DepthStats>) {
     learn_skeleton_observed(data, cfg, NoObserver)
 }
 
@@ -46,7 +44,7 @@ pub fn learn_skeleton(data: &dyn DataStore, cfg: &PcConfig) -> (UGraph, SepSets,
 /// returned). A sink that always returns `true` leaves the result
 /// byte-identical to [`learn_skeleton`] under every scheduler.
 pub fn learn_skeleton_progress(
-    data: &dyn DataStore,
+    data: &Dataset,
     cfg: &PcConfig,
     progress: &dyn ProgressSink,
 ) -> (UGraph, SepSets, Vec<DepthStats>) {
@@ -58,7 +56,7 @@ pub fn learn_skeleton_progress(
 /// meaningful, and only deterministic, sequentially); parallel modes run
 /// unobserved.
 pub fn learn_skeleton_observed<O: CiObserver>(
-    data: &dyn DataStore,
+    data: &Dataset,
     cfg: &PcConfig,
     observer: O,
 ) -> (UGraph, SepSets, Vec<DepthStats>) {
@@ -67,7 +65,7 @@ pub fn learn_skeleton_observed<O: CiObserver>(
 
 /// Shared implementation behind the three public entry points.
 fn learn_skeleton_inner<O: CiObserver>(
-    data: &dyn DataStore,
+    data: &Dataset,
     cfg: &PcConfig,
     observer: O,
     progress: &dyn ProgressSink,

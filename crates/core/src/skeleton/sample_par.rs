@@ -16,7 +16,7 @@
 
 use super::common::{fill_with, z_strides, Adjacency, CondResolver, EdgeTask, Removal};
 use crate::config::{PcConfig, SampleFill};
-use fastbn_data::DataStore;
+use fastbn_data::Dataset;
 use fastbn_parallel::{chunk_ranges, Team};
 use fastbn_stats::citest::run_ci_test;
 use fastbn_stats::contingency::AtomicContingencyTable;
@@ -30,7 +30,7 @@ use std::collections::HashSet;
 /// matches the sequential reference exactly).
 pub fn run_depth(
     team: &Team<'_>,
-    data: &dyn DataStore,
+    data: &Dataset,
     cfg: &PcConfig,
     adj: &Adjacency,
     tasks: Vec<EdgeTask>,

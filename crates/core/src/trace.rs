@@ -9,8 +9,6 @@
 
 use crate::config::PcConfig;
 use crate::skeleton::learn_skeleton_observed;
-use fastbn_data::DataStore;
-#[cfg(test)]
 use fastbn_data::Dataset;
 use fastbn_graph::{SepSets, UGraph};
 
@@ -44,10 +42,7 @@ impl CiTestRecord {
 /// Run the sequential learner and record every performed CI test, in
 /// execution order. Returns the records plus the learned skeleton and
 /// sepsets (so callers can verify the traced run against an untraced one).
-pub fn record_ci_trace(
-    data: &dyn DataStore,
-    cfg: &PcConfig,
-) -> (Vec<CiTestRecord>, UGraph, SepSets) {
+pub fn record_ci_trace(data: &Dataset, cfg: &PcConfig) -> (Vec<CiTestRecord>, UGraph, SepSets) {
     let mut records: Vec<CiTestRecord> = Vec::new();
     let seq_cfg = PcConfig {
         mode: crate::config::ParallelMode::Sequential,

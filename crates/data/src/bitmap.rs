@@ -172,18 +172,16 @@ impl BitmapIndex {
     /// Build the index in one pass per column, using the process default
     /// [`IndexKind`].
     pub fn build(data: &Dataset) -> Self {
-        Self::build_cols(data.n_samples(), data.arities(), data.raw_col_major())
+        Self::build_cols_with(
+            default_index_kind(),
+            data.n_samples(),
+            data.arities(),
+            data.raw_col_major(),
+        )
     }
 
     /// Build the index over any contiguous column-major block
-    /// (`col_major[v * n_rows + i]`) — the constructor behind both the
-    /// whole-dataset index and the per-chunk indexes of a chunked store.
-    /// Uses the process default [`IndexKind`].
-    pub fn build_cols(n_rows: usize, arities: &[u8], col_major: &[u8]) -> Self {
-        Self::build_cols_with(default_index_kind(), n_rows, arities, col_major)
-    }
-
-    /// [`BitmapIndex::build_cols`] with an explicit representation.
+    /// (`col_major[v * n_rows + i]`) with an explicit representation.
     pub fn build_cols_with(
         kind: IndexKind,
         n_rows: usize,

@@ -363,6 +363,19 @@ impl Dataset {
         self.bitmaps.get()
     }
 
+    /// Mean words the bitmap engine streams per state bitmap of `v` —
+    /// the word-op unit of the `Auto` counting-engine cost model. Once
+    /// the index is built, its [`BitmapIndex::mean_state_words`] (the
+    /// container payload the specialised kernels actually touch, for a
+    /// compressed index); otherwise the dense `⌈m/64⌉`. Never forces an
+    /// index build.
+    pub fn bitmap_mean_state_words(&self, v: usize) -> u64 {
+        match self.bitmap_index_if_built() {
+            Some(idx) => idx.mean_state_words(v),
+            None => self.n_samples.div_ceil(64) as u64,
+        }
+    }
+
     /// A view of the first `k` samples (cheap truncation used by the
     /// sample-size sweeps of Figures 3–4).
     ///

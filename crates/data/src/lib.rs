@@ -18,18 +18,11 @@
 //!
 //! Values are stored as `u8` state codes (`0..arity`); arities up to 255
 //! cover every benchmark network in the paper.
-//!
-//! The [`DataStore`] seam (see [`store`]) generalizes dataset access to
-//! row-chunked columnar storage: [`ResidentStore`] wraps today's layout at
-//! zero cost, [`ChunkedStore`] materializes fixed row ranges on demand
-//! under an LRU resident-bytes budget — counts are additive over chunks,
-//! so every counting backend runs out-of-core unchanged.
 
 pub mod bitmap;
 pub mod compressed;
 pub mod csv;
 pub mod dataset;
-pub mod store;
 pub mod summary;
 
 pub use bitmap::{
@@ -38,8 +31,4 @@ pub use bitmap::{
 pub use compressed::{BlockView, CompressedBitmap, BLOCK_BITS, BLOCK_WORDS};
 pub use csv::{dataset_from_csv, dataset_to_csv, CsvError};
 pub use dataset::{DataError, Dataset, Layout};
-pub use store::{
-    ChunkData, ChunkRef, ChunkSource, ChunkedStore, DataStore, MemorySource, ResidentStore,
-    CHUNK_BUDGET_ENV, CHUNK_ROWS_ENV,
-};
 pub use summary::{column_counts, column_entropy, DatasetSummary};

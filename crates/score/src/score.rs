@@ -16,9 +16,7 @@
 //! bit-for-bit reproducible regardless of thread, cache state or batch
 //! composition — the foundation of the searcher's cross-thread determinism.
 
-#[cfg(test)]
-use fastbn_data::Dataset;
-use fastbn_data::{DataStore, Layout};
+use fastbn_data::{Dataset, Layout};
 use fastbn_stats::{
     ln_gamma, mixed_radix_strides, ContingencyTable, CountingBackend, EngineSelect, FillSpec,
     TableArena,
@@ -70,7 +68,7 @@ impl ScoreKind {
 /// [`fastbn-core`'s `CiEngine`](https://docs.rs) applied to score counting.
 /// One scorer per search thread; the scorer itself is single-threaded.
 pub struct LocalScorer<'d> {
-    data: &'d dyn DataStore,
+    data: &'d Dataset,
     kind: ScoreKind,
     layout: Layout,
     max_cells: usize,
@@ -92,7 +90,7 @@ pub struct LocalScorer<'d> {
 
 impl<'d> LocalScorer<'d> {
     /// A scorer over `data` with the given score and table-size cap.
-    pub fn new(data: &'d dyn DataStore, kind: ScoreKind, max_cells: usize) -> Self {
+    pub fn new(data: &'d Dataset, kind: ScoreKind, max_cells: usize) -> Self {
         Self::with_options(
             data,
             kind,
@@ -104,7 +102,7 @@ impl<'d> LocalScorer<'d> {
 
     /// [`LocalScorer::new`] with an explicit dataset layout for the fill.
     pub fn with_layout(
-        data: &'d dyn DataStore,
+        data: &'d Dataset,
         kind: ScoreKind,
         max_cells: usize,
         layout: Layout,
@@ -114,7 +112,7 @@ impl<'d> LocalScorer<'d> {
 
     /// Fully explicit constructor: layout and counting backend.
     pub fn with_options(
-        data: &'d dyn DataStore,
+        data: &'d Dataset,
         kind: ScoreKind,
         max_cells: usize,
         layout: Layout,
@@ -242,7 +240,7 @@ impl<'d> LocalScorer<'d> {
 /// ([`fastbn_stats::mixed_radix_strides`]), so parent-configuration
 /// indexing and the CI engine's Z indexing can never diverge.
 fn config_strides(
-    data: &dyn DataStore,
+    data: &Dataset,
     parents: &[u32],
     rv: usize,
     max_cells: usize,

@@ -53,9 +53,7 @@
 
 use crate::cache::ScoreCache;
 use crate::score::{LocalScorer, ScoreKind};
-#[cfg(test)]
-use fastbn_data::Dataset;
-use fastbn_data::{DataStore, Layout};
+use fastbn_data::{Dataset, Layout};
 use fastbn_graph::{Dag, UGraph};
 use fastbn_parallel::{run_steal_pool, shard_by_key, StealPool, StepResult, Team};
 use fastbn_stats::EngineSelect;
@@ -375,7 +373,7 @@ impl HillClimb {
     }
 
     /// Search the full DAG space over `data`.
-    pub fn learn(&self, data: &dyn DataStore) -> HillClimbResult {
+    pub fn learn(&self, data: &Dataset) -> HillClimbResult {
         self.learn_restricted(data, None)
     }
 
@@ -386,11 +384,7 @@ impl HillClimb {
     ///
     /// # Panics
     /// Panics if `allowed` has a different node count than `data`.
-    pub fn learn_restricted(
-        &self,
-        data: &dyn DataStore,
-        allowed: Option<&UGraph>,
-    ) -> HillClimbResult {
+    pub fn learn_restricted(&self, data: &Dataset, allowed: Option<&UGraph>) -> HillClimbResult {
         self.learn_observed(data, allowed, &NoSearchObserver)
     }
 
@@ -404,7 +398,7 @@ impl HillClimb {
     /// Panics if `allowed` has a different node count than `data`.
     pub fn learn_observed(
         &self,
-        data: &dyn DataStore,
+        data: &Dataset,
         allowed: Option<&UGraph>,
         observer: &dyn SearchObserver,
     ) -> HillClimbResult {

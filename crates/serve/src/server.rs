@@ -32,7 +32,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -412,6 +412,14 @@ fn send_frame(stream: &mut TcpStream, kind: u8, request_id: u32, payload: &[u8])
 /// the writer (removes once a job's final frame is written).
 type Pending = Arc<Mutex<HashMap<u32, JobHandle>>>;
 
+/// Lock the in-flight job table, recovering it if a thread panicked
+/// while holding the lock. Every critical section is one map operation,
+/// so a poisoned table is still consistent; propagating the poison
+/// would turn one panic into a dead connection.
+fn lock_pending(pending: &Pending) -> MutexGuard<'_, HashMap<u32, JobHandle>> {
+    pending.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Serve one client until it hangs up, errors, or the daemon shuts down
 /// with no replies left to flush.
 fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
@@ -443,7 +451,7 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     'conn: loop {
         // On shutdown, hang up once nothing is left in flight (the
         // writer drains anything already queued before exiting).
-        if shared.shutdown.load(Ordering::SeqCst) && pending.lock().unwrap().is_empty() {
+        if shared.shutdown.load(Ordering::SeqCst) && lock_pending(&pending).is_empty() {
             break;
         }
         match stream.read(&mut buf) {
@@ -474,7 +482,7 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>) {
 
     // The client is gone (or we are shutting down): nobody can read the
     // results, so stop the work.
-    for handle in pending.lock().unwrap().values() {
+    for handle in lock_pending(&pending).values() {
         handle.cancel();
     }
     // Closing our channel end lets the writer exit once every running
@@ -494,11 +502,11 @@ fn write_loop(mut stream: TcpStream, rx: Receiver<ConnEvent>, pending: Pending) 
                 send_frame(&mut stream, kind::EVENT_PROGRESS, id, &ev.encode())
             }
             ConnEvent::Reply(id, k, payload) => {
-                pending.lock().unwrap().remove(&id);
+                lock_pending(&pending).remove(&id);
                 send_frame(&mut stream, k, id, &payload)
             }
             ConnEvent::Failure(id, err) => {
-                pending.lock().unwrap().remove(&id);
+                lock_pending(&pending).remove(&id);
                 send_frame(&mut stream, kind::ERROR, id, &err.encode())
             }
         };
@@ -507,7 +515,7 @@ fn write_loop(mut stream: TcpStream, rx: Receiver<ConnEvent>, pending: Pending) 
             // table (the reader keys its shutdown check on it).
             for leftover in rx.iter() {
                 if let ConnEvent::Reply(id, _, _) | ConnEvent::Failure(id, _) = leftover {
-                    pending.lock().unwrap().remove(&id);
+                    lock_pending(&pending).remove(&id);
                 }
             }
             return;
@@ -567,7 +575,7 @@ fn dispatch(shared: &Arc<Shared>, tx: &Sender<ConnEvent>, pending: &Pending, fra
         },
         kind::CANCEL => match CancelRequest::decode(&frame.payload) {
             Ok(req) => {
-                let found = match pending.lock().unwrap().get(&req.target_request_id) {
+                let found = match lock_pending(pending).get(&req.target_request_id) {
                     Some(handle) => {
                         handle.cancel();
                         true
@@ -631,12 +639,9 @@ fn submit_job(
         return;
     }
     let shared_run = shared.clone();
+    let tx_run = tx.clone();
     let wrapped = move |cancel: &CancelToken| {
-        // A panicking job must not take its runner thread (or the
-        // daemon) down with it. The job body reports its own failures
-        // over the channel before any panic-prone work; a panic here is
-        // contained and only this job's reply is lost.
-        let _ = catch_unwind(AssertUnwindSafe(|| job(cancel)));
+        run_contained(&tx_run, id, || job(cancel));
         shared_run
             .counters
             .jobs_completed
@@ -644,7 +649,7 @@ fn submit_job(
     };
     // Insert before submit: a fast job must find its own entry in the
     // table (the writer removes it when the final frame goes out).
-    let mut table = pending.lock().unwrap();
+    let mut table = lock_pending(pending);
     match shared.pool.submit(wrapped) {
         Ok(handle) => {
             shared
@@ -661,6 +666,18 @@ fn submit_job(
                 .fetch_add(1, Ordering::Relaxed);
             fail(tx, id, ErrorCode::Busy, "admission queue is full");
         }
+    }
+}
+
+/// Run one job so that request `id` gets exactly one terminal frame even
+/// if the job panics. A panicking job must not take its runner thread
+/// (or the daemon) down with it: the panic is contained and answered
+/// with an `Internal` error, which also clears the job's pending entry.
+/// Every job sends its own terminal frame as its last statement, so a
+/// job that panicked has sent none and this error is never a second.
+fn run_contained(tx: &Sender<ConnEvent>, id: u32, job: impl FnOnce()) {
+    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+        fail(tx, id, ErrorCode::Internal, "job panicked");
     }
 }
 
@@ -752,7 +769,7 @@ fn run_learn(
         cancel: cancel.clone(),
     };
     let strategy = req.strategy.to_strategy();
-    let result = learn_structure_observed(&*dataset, &strategy, &sink);
+    let result = learn_structure_observed(&dataset, &strategy, &sink);
     if cancel.is_cancelled() {
         shared
             .counters
@@ -816,7 +833,7 @@ fn run_fit(
     let structure = match shared.cache.get_structure(skey) {
         Some(entry) => entry,
         None => {
-            let result = learn_structure_observed(&*dataset, &req.strategy.to_strategy(), &sink);
+            let result = learn_structure_observed(&dataset, &req.strategy.to_strategy(), &sink);
             if cancel.is_cancelled() {
                 shared
                     .counters
@@ -923,4 +940,40 @@ fn run_infer(
         kind::INFER_OK,
         InferReply { results }.encode(),
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_contained_job_gets_exactly_one_terminal_frame() {
+        let (tx, rx) = channel();
+        run_contained(&tx, 7, || panic!("job body failed"));
+        run_contained(&tx, 3, || reply(&tx, 3, kind::HEALTH_OK, Vec::new()));
+        drop(tx);
+        let events: Vec<ConnEvent> = rx.iter().collect();
+        assert_eq!(events.len(), 2, "one terminal frame per job");
+        match &events[0] {
+            ConnEvent::Failure(7, err) => assert_eq!(err.code, ErrorCode::Internal),
+            _ => panic!("expected an Internal failure for request 7"),
+        }
+        assert!(matches!(events[1], ConnEvent::Reply(3, kind::HEALTH_OK, _)));
+    }
+
+    #[test]
+    fn a_poisoned_pending_table_is_recovered() {
+        let pending: Pending = Arc::new(Mutex::new(HashMap::new()));
+        let poisoner = pending.clone();
+        let joined = thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poison the pending table");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(pending.is_poisoned());
+        let mut table = lock_pending(&pending);
+        assert!(table.is_empty());
+        assert!(table.remove(&1).is_none());
+    }
 }

@@ -9,7 +9,7 @@
 
 use crate::contingency::ContingencyTable;
 use crate::engine::{CountingBackend, FillSpec};
-use fastbn_data::{DataStore, Layout};
+use fastbn_data::{Dataset, Layout};
 
 /// Sample-block size for tiled batch fills: a batched counting path (the
 /// score sufficient-statistics fill) inner-loops its tables over one block
@@ -102,7 +102,7 @@ impl TableArena {
     pub fn fill(
         &mut self,
         backend: &mut CountingBackend,
-        data: &dyn DataStore,
+        data: &Dataset,
         layout: Layout,
         specs: &[FillSpec<'_>],
     ) {

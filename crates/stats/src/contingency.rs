@@ -46,31 +46,6 @@ pub fn mixed_radix_strides(
     Some(q)
 }
 
-/// A cell count exceeded `u32::MAX` while merging per-chunk tables
-/// (see [`ContingencyTable::checked_merge`]). Carries the offending
-/// cell's coordinates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CountOverflow {
-    /// X category of the overflowing cell.
-    pub x: usize,
-    /// Y category of the overflowing cell.
-    pub y: usize,
-    /// Z configuration of the overflowing cell.
-    pub z: usize,
-}
-
-impl std::fmt::Display for CountOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "contingency cell (x={}, y={}, z={}) overflowed u32 while merging chunk counts",
-            self.x, self.y, self.z
-        )
-    }
-}
-
-impl std::error::Error for CountOverflow {}
-
 /// A dense three-way contingency table for `(X, Y | Z)` with `rx`, `ry`
 /// categories and `nz` joint Z-configurations.
 #[derive(Clone, Debug)]
@@ -259,31 +234,6 @@ impl ContingencyTable {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;
         }
-    }
-
-    /// Add every cell of `other` into `self` with overflow checking — the
-    /// chunk-merge path of the chunked data store, where per-chunk `u32`
-    /// counts are summed. A wrapped cell would silently corrupt every
-    /// statistic downstream, so saturation/wrapping are both wrong:
-    /// overflow is reported as an error naming the cell.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn checked_merge(&mut self, other: &ContingencyTable) -> Result<(), CountOverflow> {
-        assert_eq!(
-            (self.rx, self.ry, self.nz),
-            (other.rx, other.ry, other.nz),
-            "cannot merge tables of different shapes"
-        );
-        let (rx, ry) = (self.rx, self.ry);
-        for (i, (a, b)) in self.counts.iter_mut().zip(other.counts.iter()).enumerate() {
-            *a = a.checked_add(*b).ok_or(CountOverflow {
-                x: i / ry % rx,
-                y: i % ry,
-                z: i / (rx * ry),
-            })?;
-        }
-        Ok(())
     }
 
     /// Marginals of slice `z`: `(N_{x+z} per x, N_{+yz} per y, N_{++z})`,
@@ -514,38 +464,6 @@ mod tests {
         assert_eq!(a.count(0, 0, 0), 2);
         assert_eq!(a.count(1, 1, 0), 1);
         assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    fn checked_merge_matches_merge_off_the_edge() {
-        let mut a = ContingencyTable::new(2, 2, 1);
-        let mut b = ContingencyTable::new(2, 2, 1);
-        a.add_count(0, 0, 0, u32::MAX - 3);
-        b.add_count(0, 0, 0, 3);
-        b.add(1, 1, 0);
-        a.checked_merge(&b).expect("exactly at u32::MAX is fine");
-        assert_eq!(a.count(0, 0, 0), u32::MAX);
-        assert_eq!(a.count(1, 1, 0), 1);
-    }
-
-    #[test]
-    fn checked_merge_reports_the_overflowing_cell() {
-        let mut a = ContingencyTable::new(2, 3, 2);
-        let mut b = ContingencyTable::new(2, 3, 2);
-        a.add_count(1, 2, 1, u32::MAX);
-        b.add_count(1, 2, 1, 1);
-        let err = a.checked_merge(&b).unwrap_err();
-        assert_eq!(err, CountOverflow { x: 1, y: 2, z: 1 });
-        let msg = err.to_string();
-        assert!(msg.contains("overflow"), "{msg}");
-    }
-
-    #[test]
-    #[should_panic(expected = "different shapes")]
-    fn checked_merge_rejects_shape_mismatch() {
-        let mut a = ContingencyTable::new(2, 2, 1);
-        let b = ContingencyTable::new(2, 3, 1);
-        let _ = a.checked_merge(&b);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use crate::batch::FILL_BLOCK;
 use crate::contingency::ContingencyTable;
 use crate::simd::{self, SimdTier};
-use fastbn_data::{ChunkRef, DataStore, Dataset, Layout, StateBits};
+use fastbn_data::{Dataset, Layout, StateBits};
 
 /// One table-fill request: which variables feed which axis of a table.
 ///
@@ -60,17 +60,14 @@ pub struct FillSpec<'a> {
 }
 
 /// A strategy for filling pre-shaped, zeroed contingency tables from a
-/// data store.
+/// dataset.
 ///
 /// `fill_batch` is the primary operation — engines that can amortize work
 /// across a batch (the tiled scan's shared dataset pass) do it there;
 /// `fill_one` is the single-table convenience. Implementations may keep
 /// internal scratch (hence `&mut self`) but must be pure with respect to
 /// the output: the filled counts are a function of `(data, spec)` alone,
-/// identical across engines, batch compositions, call orders **and chunk
-/// sizes** — counts are additive over row chunks, so a chunked store is
-/// filled chunk-at-a-time and merged with overflow-checked adds, byte-
-/// identical to a resident fill.
+/// identical across engines, batch compositions and call orders.
 pub trait CountEngine {
     /// Short name for logs and bench labels.
     fn name(&self) -> &'static str;
@@ -78,14 +75,9 @@ pub trait CountEngine {
     /// Fill `tables[i]` according to `specs[i]`, for all `i`, over the
     /// full sample range of `data`. Tables must be pre-shaped (matching
     /// the spec's arities/strides) and zeroed.
-    ///
-    /// # Panics
-    /// Panics if a merged cell count exceeds `u32::MAX` (only reachable
-    /// on multi-chunk stores; a resident fill of `m ≤ u32::MAX` samples
-    /// cannot overflow).
     fn fill_batch(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         layout: Layout,
         specs: &[FillSpec<'_>],
         tables: &mut [&mut ContingencyTable],
@@ -94,7 +86,7 @@ pub trait CountEngine {
     /// Fill a single table (see [`CountEngine::fill_batch`]).
     fn fill_one(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         layout: Layout,
         spec: FillSpec<'_>,
         table: &mut ContingencyTable,
@@ -107,40 +99,26 @@ pub trait CountEngine {
 /// extracted verbatim: one pass over the samples per batch, tiled in
 /// [`FILL_BLOCK`] blocks, with per-spec inner loops specialized for the
 /// hot conditioning-set sizes (0, 1, 2).
-///
-/// On a multi-chunk store the same batch pass runs once per chunk into
-/// per-spec scratch tables, which are then merged into the outputs with
-/// overflow-checked adds — one pass per batch *per chunk*, preserving
-/// the tiling structure within each chunk.
 #[derive(Debug, Default)]
-pub struct TiledScan {
-    /// Per-spec scratch tables for the chunk-merge path (reused across
-    /// batches, resized per chunk like arena slots).
-    scratch: Vec<ContingencyTable>,
-}
+pub struct TiledScan;
 
 impl TiledScan {
     /// A tiled-scan engine.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// The block-tiled column-major fill over one chunk's columns.
-    fn fill_columns(
-        chunk: &ChunkRef<'_>,
-        specs: &[FillSpec<'_>],
-        tables: &mut [&mut ContingencyTable],
-    ) {
-        let m = chunk.len();
+    /// The block-tiled column-major fill.
+    fn fill_columns(data: &Dataset, specs: &[FillSpec<'_>], tables: &mut [&mut ContingencyTable]) {
+        let m = data.n_samples();
         // Prefetch every spec's column slices once per batch.
-        let xcols: Vec<&[u8]> = specs.iter().map(|s| chunk.column(s.x)).collect();
-        let ycols: Vec<Option<&[u8]>> =
-            specs.iter().map(|s| s.y.map(|y| chunk.column(y))).collect();
+        let xcols: Vec<&[u8]> = specs.iter().map(|s| data.column(s.x)).collect();
+        let ycols: Vec<Option<&[u8]>> = specs.iter().map(|s| s.y.map(|y| data.column(y))).collect();
         let mut zoff: Vec<usize> = Vec::with_capacity(specs.len() + 1);
         let mut zcols: Vec<&[u8]> = Vec::new();
         zoff.push(0);
         for spec in specs {
-            zcols.extend(spec.cond.iter().map(|&c| chunk.column(c)));
+            zcols.extend(spec.cond.iter().map(|&c| data.column(c)));
             zoff.push(zcols.len());
         }
         // Tile the sample range: each table inner-loops over one
@@ -213,9 +191,7 @@ impl TiledScan {
         }
     }
 
-    /// The historical row-major fill — the baselines' access pattern,
-    /// only available on a resident dataset (chunked stores carry no
-    /// row-major view).
+    /// The historical row-major fill — the baselines' access pattern.
     fn fill_rows(data: &Dataset, specs: &[FillSpec<'_>], tables: &mut [&mut ContingencyTable]) {
         for s in 0..data.n_samples() {
             let row = data.row(s);
@@ -240,7 +216,7 @@ impl CountEngine for TiledScan {
 
     fn fill_batch(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         layout: Layout,
         specs: &[FillSpec<'_>],
         tables: &mut [&mut ContingencyTable],
@@ -249,41 +225,9 @@ impl CountEngine for TiledScan {
         if specs.is_empty() {
             return;
         }
-        if layout == Layout::RowMajor {
-            if let Some(d) = data.as_resident() {
-                Self::fill_rows(d, specs, tables);
-                return;
-            }
-            // A chunked store has no row-major view; the layout knob is
-            // a memory-access experiment, not a semantic one, so fall
-            // through to the column path (counts are identical).
-        }
-        let n_chunks = data.n_chunks();
-        if n_chunks == 1 {
-            // Resident fast path (also single-chunk chunked stores):
-            // fill the outputs directly, no merge.
-            Self::fill_columns(&data.chunk(0), specs, tables);
-            return;
-        }
-        // Out-of-core path: run the identical batch pass per chunk into
-        // scratch tables, then merge with overflow-checked adds. Chunks
-        // are visited in order, so the result is byte-identical to the
-        // resident fill at any chunk size.
-        while self.scratch.len() < tables.len() {
-            self.scratch.push(ContingencyTable::new(1, 1, 1));
-        }
-        for ci in 0..n_chunks {
-            let chunk = data.chunk(ci);
-            for (s, t) in self.scratch.iter_mut().zip(tables.iter()) {
-                s.reshape(t.rx(), t.ry(), t.nz());
-            }
-            let mut refs: Vec<&mut ContingencyTable> =
-                self.scratch[..tables.len()].iter_mut().collect();
-            Self::fill_columns(&chunk, specs, &mut refs);
-            for (t, s) in tables.iter_mut().zip(self.scratch.iter()) {
-                t.checked_merge(s)
-                    .unwrap_or_else(|e| panic!("merging chunk {ci}: {e}"));
-            }
+        match layout {
+            Layout::RowMajor => Self::fill_rows(data, specs, tables),
+            Layout::ColumnMajor => Self::fill_columns(data, specs, tables),
         }
     }
 }
@@ -298,12 +242,7 @@ impl CountEngine for TiledScan {
 /// configuration space, the same quantity [`EngineSelect::Auto`]'s cost
 /// model prices. The dataset layout is irrelevant here (the index is its
 /// own layout); the `layout` parameter is accepted and ignored.
-///
-/// On a multi-chunk store each chunk's **own** bitmap index (words over
-/// the chunk's local rows) answers the queries, into a scratch table
-/// merged with overflow-checked adds — the index words scale with the
-/// chunk, which is what lets the cost model price chunks.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BitmapEngine {
     /// Intersection of the current Z-configuration's bitmaps.
     zbuf: Vec<u64>,
@@ -311,19 +250,6 @@ pub struct BitmapEngine {
     xbuf: Vec<u64>,
     /// Odometer position over the observed Z configurations.
     pos: Vec<usize>,
-    /// Per-chunk scratch table for the chunk-merge path.
-    scratch: ContingencyTable,
-}
-
-impl Default for BitmapEngine {
-    fn default() -> Self {
-        Self {
-            zbuf: Vec::new(),
-            xbuf: Vec::new(),
-            pos: Vec::new(),
-            scratch: ContingencyTable::new(1, 1, 1),
-        }
-    }
 }
 
 impl BitmapEngine {
@@ -345,44 +271,10 @@ impl BitmapEngine {
         }
     }
 
-    fn fill_table(
-        &mut self,
-        data: &dyn DataStore,
-        spec: FillSpec<'_>,
-        table: &mut ContingencyTable,
-    ) {
+    /// Fill `table` from the dataset's (cached) bitmap index.
+    fn fill_table(&mut self, data: &Dataset, spec: FillSpec<'_>, table: &mut ContingencyTable) {
         self.record_tier();
-        let n_chunks = data.n_chunks();
-        if n_chunks == 1 {
-            // Resident fast path: query the (cached) whole-range index
-            // straight into the output table.
-            self.fill_from_chunk(data, &data.chunk(0), spec, table);
-            return;
-        }
-        let mut scratch = std::mem::replace(&mut self.scratch, ContingencyTable::new(1, 1, 1));
-        for ci in 0..n_chunks {
-            let chunk = data.chunk(ci);
-            scratch.reshape(table.rx(), table.ry(), table.nz());
-            self.fill_from_chunk(data, &chunk, spec, &mut scratch);
-            table
-                .checked_merge(&scratch)
-                .unwrap_or_else(|e| panic!("merging chunk {ci}: {e}"));
-        }
-        self.scratch = scratch;
-    }
-
-    /// Fill `table` (or a per-chunk scratch) from one chunk's bitmap
-    /// index. Observed-state lists are the store's **global** ones: a
-    /// state absent from this chunk intersects to zero and is skipped by
-    /// the `c > 0` guard, so per-chunk fills stay cell-for-cell additive.
-    fn fill_from_chunk(
-        &mut self,
-        data: &dyn DataStore,
-        chunk: &ChunkRef<'_>,
-        spec: FillSpec<'_>,
-        table: &mut ContingencyTable,
-    ) {
-        let idx = chunk.bitmap_index();
+        let idx = data.bitmap_index();
         let d = spec.cond.len();
         debug_assert_eq!(d, spec.zmul.len());
         debug_assert_eq!(table.rx(), data.arity(spec.x));
@@ -501,7 +393,7 @@ impl CountEngine for BitmapEngine {
 
     fn fill_batch(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         _layout: Layout,
         specs: &[FillSpec<'_>],
         tables: &mut [&mut ContingencyTable],
@@ -516,7 +408,7 @@ impl CountEngine for BitmapEngine {
 
     fn fill_one(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         _layout: Layout,
         spec: FillSpec<'_>,
         table: &mut ContingencyTable,
@@ -594,11 +486,10 @@ impl EngineSelect {
     /// with no Y axis the accumulator re-read `w_acc` takes that slot) —
     /// observed arities `r̃` and observed configuration count `ñz`,
     /// since unobserved states are skipped outright. `w̃(v)` is
-    /// [`DataStore::bitmap_mean_state_words`]: `Σ_chunks ⌈len/64⌉` for a
-    /// dense index (chunked stores keep one index per chunk, so chunking
-    /// pays per-chunk word rounding), but the *actual container payload*
-    /// once a compressed index exists — sparse states get cheaper and
-    /// the model flips to the bitmap engine sooner.
+    /// [`Dataset::bitmap_mean_state_words`]: `⌈m/64⌉` for a dense (or
+    /// not yet built) index, but the *actual container payload* once a
+    /// compressed index exists — sparse states get cheaper and the model
+    /// flips to the bitmap engine sooner.
     ///
     /// The tiled scan reads `m · (d + 2)` column elements. The two sides
     /// meet where word ops cross element reads scaled by the measured
@@ -610,14 +501,12 @@ impl EngineSelect {
     /// the historical `w · ñz · (d + r̃x·(1 + r̃y)) ≤ m · (d + 2)` rule.
     /// Whatever the pick, counts are byte-identical — the model only
     /// decides speed, never results.
-    pub fn prefers_bitmap(data: &dyn DataStore, spec: &FillSpec<'_>) -> bool {
+    pub fn prefers_bitmap(data: &Dataset, spec: &FillSpec<'_>) -> bool {
         let m = data.n_samples();
         if m == 0 {
             return false;
         }
-        let w_acc: u64 = (0..data.n_chunks())
-            .map(|i| data.chunk_range(i).len().div_ceil(64) as u64)
-            .sum();
+        let w_acc = m.div_ceil(64) as u64;
         let rx = data.observed_arity(spec.x) as u64;
         let d = spec.cond.len() as u64;
         let mut nz = 1u64;
@@ -698,7 +587,7 @@ impl CountingBackend {
     /// Fill one pre-shaped, zeroed table.
     pub fn fill_one(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         layout: Layout,
         spec: FillSpec<'_>,
         table: &mut ContingencyTable,
@@ -737,7 +626,7 @@ impl CountingBackend {
     /// Panics if the lengths differ.
     pub fn fill_batch(
         &mut self,
-        data: &dyn DataStore,
+        data: &Dataset,
         layout: Layout,
         specs: &[FillSpec<'_>],
         tables: &mut [ContingencyTable],
@@ -1008,37 +897,6 @@ mod tests {
         forced.fill_one(&d, Layout::ColumnMajor, small, &mut t);
         assert_eq!(forced.picks(), (1, 0), "forcing overrides the cost model");
         crate::simd::set_forced_tier(None);
-    }
-
-    #[test]
-    fn chunked_store_counts_match_resident() {
-        use fastbn_data::ChunkedStore;
-        let d = data();
-        let cond = [2usize, 3];
-        let mut zmul = vec![0usize; cond.len()];
-        let nz =
-            crate::contingency::mixed_radix_strides(|i| d.arity(cond[i]), &mut zmul, 6, 1 << 20)
-                .unwrap();
-        let spec = FillSpec {
-            x: 0,
-            y: Some(1),
-            cond: &cond,
-            zmul: &zmul,
-        };
-        let mut resident = ContingencyTable::new(2, 3, nz);
-        TiledScan::new().fill_one(&d, Layout::ColumnMajor, spec, &mut resident);
-        for chunk_rows in [1usize, 7, 64, d.n_samples()] {
-            let store = ChunkedStore::from_dataset(&d, chunk_rows, usize::MAX);
-            for select in [EngineSelect::ForceTiled, EngineSelect::ForceBitmap] {
-                let mut t = ContingencyTable::new(2, 3, nz);
-                CountingBackend::new(select).fill_one(&store, Layout::ColumnMajor, spec, &mut t);
-                assert_eq!(
-                    resident.raw(),
-                    t.raw(),
-                    "chunk_rows={chunk_rows} {select:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod special;
 pub use batch::{FactorArena, TableArena, FILL_BLOCK};
 pub use chi2::{chi2_cdf, chi2_critical_value, chi2_sf};
 pub use citest::{CiOutcome, CiTestKind, DfRule};
-pub use contingency::{mixed_radix_strides, ContingencyTable, CountOverflow};
+pub use contingency::{mixed_radix_strides, ContingencyTable};
 pub use engine::{BitmapEngine, CountEngine, CountingBackend, EngineSelect, FillSpec, TiledScan};
 pub use gsq::{g2_statistic, g2_test};
 pub use mi::{conditional_mutual_information, mi_test};

@@ -146,7 +146,7 @@ fn main() {
 
                 // What does the Auto policy actually pick here? (The
                 // cost model consults the built index's real container
-                // payloads via `bitmap_mean_state_words`.)
+                // payloads via `Dataset::bitmap_mean_state_words`.)
                 let cond: Vec<usize> = (2..2 + d).collect();
                 let mut zmul = vec![0usize; cond.len()];
                 mixed_radix_strides(
