@@ -16,6 +16,7 @@ use fastbn_graph::UGraph;
 use fastbn_stats::citest::run_ci_test;
 use fastbn_stats::{
     mixed_radix_strides, CiTestKind, ContingencyTable, CountingBackend, DfRule, FillSpec,
+    G2Decision,
 };
 
 /// The adjacency snapshot `a(·)` of one depth (Algorithm 1, lines 6–7) in
@@ -276,6 +277,9 @@ pub struct CiEngine<'d, O: CiObserver = NoObserver> {
     max_cells: usize,
     count: CountingBackend,
     table: ContingencyTable,
+    /// The G² (and MI) decision, with its marginal scratch and per-df
+    /// critical values.
+    decision: G2Decision,
     resolver: CondResolver,
     zmul_buf: Vec<usize>,
     /// CI tests actually performed.
@@ -304,6 +308,7 @@ impl<'d, O: CiObserver> CiEngine<'d, O> {
             max_cells: cfg.max_table_cells,
             count: CountingBackend::new(cfg.count_engine),
             table: ContingencyTable::new(1, 1, 1),
+            decision: G2Decision::new(cfg.alpha, cfg.df_rule),
             resolver: CondResolver::default(),
             zmul_buf: Vec::new(),
             performed: 0,
@@ -342,7 +347,15 @@ impl<'d, O: CiObserver> CiEngine<'d, O> {
         self.zmul_buf = zmul;
         self.performed += 1;
         self.observer.record(u as u32, v as u32, cond);
-        run_ci_test(&self.table, self.test, self.alpha, self.df_rule).independent
+        match self.test {
+            // MI's decision is defined as the G² decision.
+            CiTestKind::GSquared | CiTestKind::MutualInfo => self
+                .decision
+                .independent(&self.table, self.data.xlnx_table()),
+            CiTestKind::PearsonX2 => {
+                run_ci_test(&self.table, self.test, self.alpha, self.df_rule).independent
+            }
+        }
     }
 
     /// Resolve the conditioning set of test rank `r` of `task` into this

@@ -27,6 +27,7 @@ use common::{apply_removals, build_tasks, CiEngine, CiObserver, DepthTasks, NoOb
 use fastbn_data::Dataset;
 use fastbn_graph::{SepSets, UGraph};
 use fastbn_parallel::Team;
+use fastbn_stats::CiTestKind;
 use std::time::Instant;
 
 /// Learn the skeleton of `data` under `cfg`.
@@ -74,6 +75,12 @@ fn learn_skeleton_inner<O: CiObserver>(
     let mut graph = UGraph::complete(n);
     let mut sepsets = SepSets::new(n);
     let mut depth_stats = Vec::new();
+    // Tabulate the dataset's `x·ln x` terms here, before any worker
+    // starts: every engine of every depth then shares this one table,
+    // allocated by the calling thread.
+    if cfg.test != CiTestKind::PearsonX2 {
+        data.xlnx_table();
+    }
 
     match cfg.mode {
         ParallelMode::Sequential => {

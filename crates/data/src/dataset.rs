@@ -76,7 +76,9 @@ impl std::error::Error for DataError {}
 ///   baselines; column-major hot paths never pay for it;
 /// * [`Dataset::state_frequencies`] — per-column state counts, one pass;
 /// * [`Dataset::bitmap_index`] — the per-(variable, state) sample bitmaps
-///   behind the bitmap counting engine.
+///   behind the bitmap counting engine;
+/// * [`Dataset::xlnx_table`] — `n·ln n` for every count a table over
+///   this dataset can hold, read by the G² decision.
 ///
 /// The caches are pure derived data: equality and cloning consider only
 /// the logical contents (a clone starts with cold caches).
@@ -96,6 +98,8 @@ pub struct Dataset {
     state_freqs: OnceLock<Vec<Vec<u64>>>,
     /// Lazily derived per-column observed-state lists.
     obs_states: OnceLock<Vec<Vec<usize>>>,
+    /// Lazily tabulated `n·ln n` for every count `0..=n_samples`.
+    xlnx: OnceLock<Box<[f64]>>,
 }
 
 impl Clone for Dataset {
@@ -113,6 +117,7 @@ impl Clone for Dataset {
             bitmaps: OnceLock::new(),
             state_freqs: OnceLock::new(),
             obs_states: OnceLock::new(),
+            xlnx: OnceLock::new(),
         }
     }
 }
@@ -203,6 +208,7 @@ impl Dataset {
             bitmaps: OnceLock::new(),
             state_freqs: OnceLock::new(),
             obs_states: OnceLock::new(),
+            xlnx: OnceLock::new(),
         })
     }
 
@@ -376,6 +382,26 @@ impl Dataset {
         }
     }
 
+    /// `xlnx_table()[n] = n·ln n` for every count `n` in `0..=n_samples`
+    /// (`0·ln 0 = 0`), tabulated on first use and cached. No cell or
+    /// marginal of a contingency table over this dataset exceeds
+    /// `n_samples`, so the G² decision reads every `x ln x` term from here
+    /// instead of calling `ln`; one table serves every CI engine of every
+    /// thread of a learn.
+    pub fn xlnx_table(&self) -> &[f64] {
+        self.xlnx.get_or_init(|| {
+            (0..=self.n_samples)
+                .map(|n| {
+                    if n == 0 {
+                        0.0
+                    } else {
+                        n as f64 * (n as f64).ln()
+                    }
+                })
+                .collect()
+        })
+    }
+
     /// A view of the first `k` samples (cheap truncation used by the
     /// sample-size sweeps of Figures 3–4).
     ///
@@ -419,6 +445,15 @@ mod tests {
                 assert_eq!(d.value(s, v), d.column(v)[s]);
             }
         }
+    }
+
+    #[test]
+    fn xlnx_table_covers_every_count() {
+        let t = small().xlnx_table().to_vec();
+        assert_eq!(t.len(), 5);
+        assert_eq!(t[0], 0.0);
+        assert_eq!(t[1], 0.0);
+        assert_eq!(t[4], 4.0 * 4f64.ln());
     }
 
     #[test]

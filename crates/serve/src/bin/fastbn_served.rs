@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fastbn-served [--addr HOST:PORT] [--runners N] [--queue N] [--cache N]
-//!               [--cache-budget-mb N] [--metrics-addr HOST:PORT]
+//!               [--cache-budget-mb N] [--max-threads N] [--metrics-addr HOST:PORT]
 //! ```
 //!
 //! Serves the protocol in `docs/PROTOCOL.md` until a client sends a
@@ -26,7 +26,7 @@ use fastbn_serve::{ServeConfig, Server};
 fn usage() -> ! {
     eprintln!(
         "usage: fastbn-served [--addr HOST:PORT] [--runners N] [--queue N] [--cache N] \
-         [--cache-budget-mb N] [--metrics-addr HOST:PORT]"
+         [--cache-budget-mb N] [--max-threads N] [--metrics-addr HOST:PORT]"
     );
     exit(2);
 }
@@ -76,6 +76,7 @@ fn main() {
                 let mb: usize = parse(args.next(), "--cache-budget-mb");
                 cfg.cache_budget_bytes = mb.saturating_mul(1024 * 1024);
             }
+            "--max-threads" => cfg.max_threads = parse(args.next(), "--max-threads"),
             "--metrics-addr" => metrics_addr = Some(parse(args.next(), "--metrics-addr")),
             "--help" | "-h" => usage(),
             other => {

@@ -37,7 +37,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use fastbn_core::{
-    learn_structure_observed, DepthStats, LearnPhase, ProgressSink, StructureResult,
+    learn_structure_observed, DepthStats, LearnPhase, ProgressSink, Strategy, StructureResult,
 };
 use fastbn_network::JoinTree;
 use fastbn_parallel::{CancelToken, JobHandle, JobPool};
@@ -51,8 +51,8 @@ use crate::cache::{
 use crate::protocol::{
     kind, CancelReply, CancelRequest, DatasetPutReply, DatasetPutRequest, DatasetRef, ErrorCode,
     ErrorReply, FitReply, FitRequest, HealthReply, InferReply, InferRequest, JobPhase, LearnReply,
-    LearnRequest, MetricsReply, ProgressEvent, StatsReply, WireDepthStats, WirePcStats,
-    WireSearchStats,
+    LearnRequest, MetricsReply, ProgressEvent, StatsReply, StrategySpec, WireDepthStats,
+    WirePcStats, WireSearchStats,
 };
 use crate::wire::{encode_frame, Frame, FrameDecoder, PROTOCOL_VERSION};
 
@@ -78,6 +78,11 @@ pub struct ServeConfig {
     /// Per-cache byte budget: least-recently-used entries are evicted
     /// once a cache's estimated resident bytes exceed it.
     pub cache_budget_bytes: usize,
+    /// Most worker threads one job may use (min 1): the client-chosen
+    /// learn `threads` and `calibrate_threads` are clamped to it.
+    /// Learned structures and posteriors do not depend on the thread
+    /// count, so the clamp never changes a reply.
+    pub max_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -87,6 +92,7 @@ impl Default for ServeConfig {
             queue_capacity: 8,
             cache_capacity: 64,
             cache_budget_bytes: DEFAULT_BUDGET_BYTES,
+            max_threads: thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -114,6 +120,32 @@ impl ServeConfig {
     pub fn with_cache_budget_bytes(mut self, budget: usize) -> Self {
         self.cache_budget_bytes = budget;
         self
+    }
+
+    /// Set the per-job worker-thread cap.
+    pub fn with_max_threads(mut self, max_threads: usize) -> Self {
+        self.max_threads = max_threads;
+        self
+    }
+
+    /// A client-chosen worker count, clamped to `1..=max_threads`.
+    fn clamp_threads(&self, threads: usize) -> usize {
+        threads.clamp(1, self.max_threads.max(1))
+    }
+
+    /// The server-side strategy `spec` denotes, with every worker count
+    /// clamped. The cache key still hashes the spec as sent.
+    fn strategy(&self, spec: &StrategySpec) -> Strategy {
+        let mut strategy = spec.to_strategy();
+        match &mut strategy {
+            Strategy::PcStable(pc) => pc.threads = self.clamp_threads(pc.threads),
+            Strategy::HillClimb(hc) => hc.threads = self.clamp_threads(hc.threads),
+            Strategy::Hybrid(h) => {
+                h.pc.threads = self.clamp_threads(h.pc.threads);
+                h.hc.threads = self.clamp_threads(h.hc.threads);
+            }
+        }
+        strategy
     }
 }
 
@@ -768,7 +800,7 @@ fn run_learn(
         request_id: id,
         cancel: cancel.clone(),
     };
-    let strategy = req.strategy.to_strategy();
+    let strategy = shared.cfg.strategy(&req.strategy);
     let result = learn_structure_observed(&dataset, &strategy, &sink);
     if cancel.is_cancelled() {
         shared
@@ -833,7 +865,8 @@ fn run_fit(
     let structure = match shared.cache.get_structure(skey) {
         Some(entry) => entry,
         None => {
-            let result = learn_structure_observed(&dataset, &req.strategy.to_strategy(), &sink);
+            let strategy = shared.cfg.strategy(&req.strategy);
+            let result = learn_structure_observed(&dataset, &strategy, &sink);
             if cancel.is_cancelled() {
                 shared
                     .counters
@@ -863,7 +896,8 @@ fn run_fit(
     }
     sink.send(ProgressEvent::phase_entry(JobPhase::Calibrate));
     let t_cal = Instant::now();
-    let tree = JoinTree::build(&net, req.calibrate_threads.max(1) as usize);
+    let calibrate_threads = shared.cfg.clamp_threads(req.calibrate_threads as usize);
+    let tree = JoinTree::build(&net, calibrate_threads);
     let calibrate_micros = t_cal.elapsed().as_micros() as u64;
     let stats = tree.stats();
     let reply = FitReply {

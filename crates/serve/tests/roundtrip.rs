@@ -122,6 +122,60 @@ fn learn_fit_infer_over_wire_is_byte_identical_to_in_process() {
     handle.join().expect("server exits cleanly");
 }
 
+/// The process's live thread count (`/proc/self/status`), where the
+/// platform exposes it.
+fn live_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+}
+
+#[test]
+fn client_thread_counts_are_clamped_server_side() {
+    let data = alarm_sample(600);
+    let (handle, addr) = spawn_server(ServeConfig::default().with_max_threads(2));
+    let mut client = Client::connect(addr).expect("connect");
+
+    // Sample the thread count while the oversized requests run.
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let watcher = {
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                peak = peak.max(live_threads().unwrap_or(0));
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            peak
+        })
+    };
+    for (huge, small) in [
+        (StrategySpec::pc(u16::MAX), StrategySpec::pc(2)),
+        (StrategySpec::hybrid(u16::MAX), StrategySpec::hybrid(2)),
+    ] {
+        let wide = client
+            .learn(huge.clone(), &data)
+            .expect("learn, u16::MAX threads");
+        let narrow = client.learn(small, &data).expect("learn, 2 threads");
+        assert_eq!(wide.directed_edges, narrow.directed_edges);
+        assert_eq!(wide.undirected_edges, narrow.undirected_edges);
+        assert_eq!(wide.dag_edges, narrow.dag_edges);
+        assert_eq!(wide.score.map(f64::to_bits), narrow.score.map(f64::to_bits));
+        let fitted = client
+            .fit(huge, &data, 1.0, u16::MAX)
+            .expect("fit, u16::MAX calibration threads");
+        assert_eq!(fitted.n_vars as usize, data.n_vars());
+    }
+    done.store(true, std::sync::atomic::Ordering::Relaxed);
+    let peak = watcher.join().expect("watcher");
+    assert!(peak < 1000, "{peak} live threads: the clamp did not hold");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+}
+
 #[test]
 fn progress_events_stream_in_phase_order() {
     let data = alarm_sample(800);

@@ -10,6 +10,7 @@
 //! * [`contingency`] — dense contingency tables over `(X, Y | Z-configuration)`
 //!   with marginal accumulation, laid out so the per-`Z`-slice is contiguous,
 //! * [`gsq`] — the G² likelihood-ratio test statistic used by the paper,
+//!   and [`G2Decision`], its allocation-free accept/reject decision,
 //! * [`pearson`] — the classical Pearson X² statistic (alternative CI test),
 //! * [`mi`] — the (conditional) mutual-information view of G² (`G² = 2·N·MI`),
 //! * [`citest`] — a uniform conditional-independence-test front end used by
@@ -50,7 +51,7 @@ pub use chi2::{chi2_cdf, chi2_critical_value, chi2_sf};
 pub use citest::{CiOutcome, CiTestKind, DfRule};
 pub use contingency::{mixed_radix_strides, ContingencyTable};
 pub use engine::{BitmapEngine, CountEngine, CountingBackend, EngineSelect, FillSpec, TiledScan};
-pub use gsq::{g2_statistic, g2_test};
+pub use gsq::{g2_statistic, g2_test, G2Decision};
 pub use mi::{conditional_mutual_information, mi_test};
 pub use pearson::{x2_statistic, x2_test};
 pub use simd::{SimdTier, SIMD_ENV};

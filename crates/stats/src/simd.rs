@@ -227,10 +227,12 @@ pub(crate) fn tier_test_guard() -> std::sync::MutexGuard<'static, ()> {
 // ---------------------------------------------------------------------------
 
 mod scalar {
+    #[inline(always)]
     pub fn popcount(a: &[u64]) -> u64 {
         a.iter().map(|w| w.count_ones() as u64).sum()
     }
 
+    #[inline(always)]
     pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
         a.iter()
             .zip(b)
@@ -238,6 +240,7 @@ mod scalar {
             .sum()
     }
 
+    #[inline(always)]
     pub fn and3_popcount(a: &[u64], b: &[u64], c: &[u64]) -> u64 {
         let mut sum = 0u64;
         for i in 0..a.len() {
@@ -251,6 +254,51 @@ mod scalar {
             *d &= *s;
         }
     }
+
+    /// The three popcount kernels above compiled a second time with the
+    /// hardware `POPCNT` instruction: the scalar tier's path on x86_64
+    /// hosts without AVX2 (the baseline target lowers `count_ones` to a
+    /// bit-twiddling sequence).
+    #[cfg(target_arch = "x86_64")]
+    pub mod hw {
+        /// # Safety
+        /// Requires POPCNT.
+        #[target_feature(enable = "popcnt")]
+        pub unsafe fn popcount(a: &[u64]) -> u64 {
+            super::popcount(a)
+        }
+
+        /// # Safety
+        /// Requires POPCNT.
+        #[target_feature(enable = "popcnt")]
+        pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
+            super::and_popcount(a, b)
+        }
+
+        /// # Safety
+        /// Requires POPCNT.
+        #[target_feature(enable = "popcnt")]
+        pub unsafe fn and3_popcount(a: &[u64], b: &[u64], c: &[u64]) -> u64 {
+            super::and3_popcount(a, b, c)
+        }
+    }
+}
+
+/// Scalar-tier dispatch of one popcount kernel: the `scalar::hw` build
+/// when the CPU has `POPCNT`, else the portable one.
+macro_rules! scalar_kernel {
+    ($kernel:ident($($arg:expr),*)) => {{
+        #[cfg(target_arch = "x86_64")]
+        let count = if is_x86_feature_detected!("popcnt") {
+            // SAFETY: POPCNT was detected on this CPU.
+            unsafe { scalar::hw::$kernel($($arg),*) }
+        } else {
+            scalar::$kernel($($arg),*)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let count = scalar::$kernel($($arg),*);
+        count
+    }};
 }
 
 // ---------------------------------------------------------------------------
@@ -425,7 +473,7 @@ mod x86 {
 #[inline]
 pub fn popcount(a: &[u64]) -> u64 {
     match active_tier() {
-        SimdTier::Scalar => scalar::popcount(a),
+        SimdTier::Scalar => scalar_kernel!(popcount(a)),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier was validated against CPU features at dispatch
         // setup (detection or `assert_supported`).
@@ -446,7 +494,7 @@ pub fn popcount(a: &[u64]) -> u64 {
 pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     debug_assert_eq!(a.len(), b.len(), "bitmap word-length mismatch");
     match active_tier() {
-        SimdTier::Scalar => scalar::and_popcount(a, b),
+        SimdTier::Scalar => scalar_kernel!(and_popcount(a, b)),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier validated against CPU features at dispatch setup.
         SimdTier::Avx2 => unsafe { x86::and_popcount_avx2(a, b) },
@@ -476,7 +524,7 @@ pub fn and_n_popcount(srcs: &[&[u64]]) -> u64 {
         [a] => popcount(a),
         [a, b] => and_popcount(a, b),
         [a, b, c] => match active_tier() {
-            SimdTier::Scalar => scalar::and3_popcount(a, b, c),
+            SimdTier::Scalar => scalar_kernel!(and3_popcount(a, b, c)),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: tier validated against CPU features at dispatch setup.
             SimdTier::Avx2 => unsafe { x86::and3_popcount_avx2(a, b, c) },
@@ -798,6 +846,18 @@ mod tests {
                 scalar::and_popcount(&a, &b),
                 scalar::and3_popcount(&a, &b, &c),
             );
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("popcnt") {
+                // SAFETY: POPCNT detected.
+                let hw = unsafe {
+                    (
+                        scalar::hw::popcount(&a),
+                        scalar::hw::and_popcount(&a, &b),
+                        scalar::hw::and3_popcount(&a, &b, &c),
+                    )
+                };
+                assert_eq!(hw, reference, "scalar POPCNT build n={n}");
+            }
             let mut dst_ref = a.clone();
             scalar::and_assign(&mut dst_ref, &b);
             for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {

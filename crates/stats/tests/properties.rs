@@ -1,8 +1,10 @@
 //! Property-based tests for the statistics substrate.
 
+use fastbn_stats::citest::run_ci_test;
 use fastbn_stats::{
-    chi2_cdf, chi2_sf, conditional_mutual_information, g2_statistic, ln_gamma, regularized_gamma_p,
-    regularized_gamma_q, x2_statistic, ContingencyTable,
+    chi2_cdf, chi2_sf, conditional_mutual_information, g2_statistic, g2_test, ln_gamma,
+    regularized_gamma_p, regularized_gamma_q, x2_statistic, CiTestKind, ContingencyTable, DfRule,
+    G2Decision,
 };
 use proptest::prelude::*;
 
@@ -17,6 +19,80 @@ fn table_strategy() -> impl Strategy<Value = (ContingencyTable, usize)> {
             (t, obs.len())
         })
     })
+}
+
+/// Strategy: a sparse random table — random `rx` (1 makes X constant,
+/// so df = 0), `ry`, `nz`, a few weighted cells, and (when `skip_odd`)
+/// every odd Z-slice left empty.
+fn sparse_table_strategy() -> impl Strategy<Value = ContingencyTable> {
+    (1usize..6, 2usize..6, 1usize..9, any::<bool>()).prop_flat_map(|(rx, ry, nz, skip_odd)| {
+        proptest::collection::vec((0..rx, 0..ry, 0..nz, 1u32..60), 0..40).prop_map(move |cells| {
+            let mut t = ContingencyTable::new(rx, ry, nz);
+            for &(x, y, z, w) in &cells {
+                if !(skip_odd && z % 2 == 1) {
+                    t.add_count(x, y, z, w);
+                }
+            }
+            t
+        })
+    })
+}
+
+/// `n·ln n` for `0..=m` — what `Dataset::xlnx_table` holds.
+fn xlnx(m: u64) -> Vec<f64> {
+    (0..=m)
+        .map(|n| {
+            if n == 0 {
+                0.0
+            } else {
+                n as f64 * (n as f64).ln()
+            }
+        })
+        .collect()
+}
+
+/// Assert the fast decision equals the exact one of both G²-family kinds.
+fn assert_decision_matches(t: &ContingencyTable, alpha: f64, rule: DfRule, table: &[f64]) {
+    let fast = G2Decision::new(alpha, rule).independent(t, table);
+    for kind in [CiTestKind::GSquared, CiTestKind::MutualInfo] {
+        let exact = run_ci_test(t, kind, alpha, rule).independent;
+        assert_eq!(fast, exact, "{kind:?} alpha={alpha} rule={rule:?}");
+    }
+}
+
+const RULES: [DfRule; 2] = [DfRule::Classic, DfRule::Adjusted];
+
+proptest! {
+    /// The allocation-free decision equals the exact test's decision on
+    /// random sparse tables, under both df rules, at valid and invalid
+    /// significance levels, with a full `x ln x` table, one too short for
+    /// the table's counts, and none.
+    #[test]
+    fn g2_decision_matches_exact_test(t in sparse_table_strategy()) {
+        let full = xlnx(t.total());
+        let short = xlnx(t.total() / 3);
+        for rule in RULES {
+            for alpha in [1e-6, 0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 0.0, 1.0, 1.5, -0.1, f64::NAN] {
+                for table in [&full[..], &short, &[]] {
+                    assert_decision_matches(&t, alpha, rule, table);
+                }
+            }
+        }
+    }
+
+    /// The same equality with the statistic on the critical value: `alpha`
+    /// is set to the table's own p-value, nudged by a few 1e-12 relative.
+    #[test]
+    fn g2_decision_matches_exact_test_on_the_critical_value(t in sparse_table_strategy()) {
+        let table = xlnx(t.total());
+        for rule in RULES {
+            let exact = g2_test(&t, 0.05, rule);
+            for k in -3i32..=3 {
+                let alpha = exact.p_value * (1.0 + k as f64 * 1e-12);
+                assert_decision_matches(&t, alpha, rule, &table);
+            }
+        }
+    }
 }
 
 proptest! {
