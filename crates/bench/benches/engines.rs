@@ -5,7 +5,7 @@
 //! tiers and the bitmap-index build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbn_data::{set_default_index_kind, BitmapIndex, IndexKind, Layout};
+use fastbn_data::{BitmapIndex, Layout};
 use fastbn_network::zoo;
 use fastbn_score::{LocalScorer, ScoreKind};
 use fastbn_stats::simd::{self, SimdTier};
@@ -17,8 +17,7 @@ const ENGINES: [EngineSelect; 2] = [EngineSelect::ForceTiled, EngineSelect::Forc
 
 /// The historical `engines/*` kernels pin the scalar kernel tier so
 /// their baselines keep meaning what they always measured; the
-/// `*_simd` / `*_compressed` kernels below opt into the vector tiers
-/// and the compressed index explicitly.
+/// `*_simd` kernel below opts into the vector tiers explicitly.
 fn pin_scalar() {
     simd::set_forced_tier(Some(SimdTier::Scalar));
 }
@@ -74,30 +73,7 @@ fn bench_score_batch(c: &mut Criterion) {
         );
     }
 
-    // The same batch against a compressed (roaring-style) bitmap index
-    // under the best kernel tier — pricing the container-specialised
-    // AND+popcount kernels against the dense baselines above.
     simd::set_forced_tier(None);
-    set_default_index_kind(IndexKind::Compressed);
-    let comp_data = net.sample_dataset(1000, 17);
-    comp_data.bitmap_index(); // cached at build: compressed
-    set_default_index_kind(IndexKind::Dense);
-    group.bench_function(
-        BenchmarkId::new("score_batch_compressed", "alarm_1k"),
-        |b| {
-            let mut scorer = LocalScorer::with_options(
-                &comp_data,
-                ScoreKind::Bic,
-                1 << 22,
-                Layout::ColumnMajor,
-                EngineSelect::ForceBitmap,
-            );
-            b.iter(|| {
-                let sum: f64 = scorer.score_batch(child, &sets).flatten().sum();
-                black_box(sum)
-            })
-        },
-    );
     group.finish();
 }
 
@@ -139,10 +115,9 @@ fn bench_and_popcount_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Index construction cost per representation — the word-accumulated
-/// column build (64 rows per flush) followed by per-block container
-/// choice for the compressed kind. Also reports nothing but time: the
-/// memory story is in `examples/calibrate.rs` and the README table.
+/// Index construction cost — the word-accumulated column build (64 rows
+/// per flush). Reports nothing but time; the index memory is
+/// `Σ_v arity(v) · ⌈m/64⌉ · 8` bytes by construction.
 fn bench_index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines");
     group
@@ -151,19 +126,12 @@ fn bench_index_build(c: &mut Criterion) {
 
     let net = zoo::by_name("alarm", 3).expect("zoo network");
     let data = net.sample_dataset(16_000, 17);
-    for kind in [IndexKind::Dense, IndexKind::Compressed] {
-        set_default_index_kind(kind);
-        group.bench_function(
-            BenchmarkId::new(format!("index_build_{}", kind.name()), "alarm_16k"),
-            |b| {
-                b.iter(|| {
-                    let idx = BitmapIndex::build(&data);
-                    black_box(idx.memory_bytes())
-                })
-            },
-        );
-    }
-    set_default_index_kind(IndexKind::Dense);
+    group.bench_function(BenchmarkId::new("index_build_dense", "alarm_16k"), |b| {
+        b.iter(|| {
+            let idx = BitmapIndex::build(&data);
+            black_box(idx.memory_bytes())
+        })
+    });
     group.finish();
 }
 

@@ -354,32 +354,9 @@ impl Dataset {
     }
 
     /// The per-(variable, state) sample-bitmap index, built on first use
-    /// and cached (see [`BitmapIndex`] for the memory cost). The
-    /// representation is the process default kind at build time (see
-    /// [`crate::bitmap::default_index_kind`]) — later default flips do
-    /// not rebuild a cached index.
+    /// and cached (see [`BitmapIndex`] for the memory cost).
     pub fn bitmap_index(&self) -> &BitmapIndex {
         self.bitmaps.get_or_init(|| BitmapIndex::build(self))
-    }
-
-    /// The cached bitmap index if one has been built, without forcing a
-    /// build — cost models use this to price word streams off the real
-    /// representation while staying free when the index is cold.
-    pub fn bitmap_index_if_built(&self) -> Option<&BitmapIndex> {
-        self.bitmaps.get()
-    }
-
-    /// Mean words the bitmap engine streams per state bitmap of `v` —
-    /// the word-op unit of the `Auto` counting-engine cost model. Once
-    /// the index is built, its [`BitmapIndex::mean_state_words`] (the
-    /// container payload the specialised kernels actually touch, for a
-    /// compressed index); otherwise the dense `⌈m/64⌉`. Never forces an
-    /// index build.
-    pub fn bitmap_mean_state_words(&self, v: usize) -> u64 {
-        match self.bitmap_index_if_built() {
-            Some(idx) => idx.mean_state_words(v),
-            None => self.n_samples.div_ceil(64) as u64,
-        }
     }
 
     /// `xlnx_table()[n] = n·ln n` for every count `n` in `0..=n_samples`

@@ -20,15 +20,11 @@
 //! cover every benchmark network in the paper.
 
 pub mod bitmap;
-pub mod compressed;
 pub mod csv;
 pub mod dataset;
 pub mod summary;
 
-pub use bitmap::{
-    default_index_kind, set_default_index_kind, BitmapIndex, IndexKind, StateBits, BITMAP_INDEX_ENV,
-};
-pub use compressed::{BlockView, CompressedBitmap, BLOCK_BITS, BLOCK_WORDS};
+pub use bitmap::{default_index_kind, BitmapIndex, IndexKind};
 pub use csv::{dataset_from_csv, dataset_to_csv, CsvError};
 pub use dataset::{DataError, Dataset, Layout};
 pub use summary::{column_counts, column_entropy, DatasetSummary};

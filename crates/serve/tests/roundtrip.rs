@@ -411,6 +411,135 @@ fn hostile_dataset_put_is_malformed_and_daemon_keeps_serving() {
     handle.join().expect("server exits");
 }
 
+/// Every admitted request gets exactly one terminal frame — its `*Ok`
+/// reply or an `Error` — even when a burst of good, hostile and
+/// unanswerable requests is written on one connection without reading
+/// in between. A `Health` fence sent afterwards is then the very next
+/// terminal frame: nothing from the burst arrives late.
+#[test]
+fn every_request_gets_exactly_one_terminal_reply() {
+    use fastbn_serve::protocol::{DatasetPutRequest, InferRequest};
+    use std::collections::BTreeMap;
+    use std::time::{Duration, Instant};
+
+    let (handle, addr) = spawn_server(ServeConfig::default());
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+
+    let mut hostile_put = Enc::new();
+    hostile_put.u32(2).u64(1 << 44);
+    hostile_put.str("a").u8(2).str("b").u8(2).u8(0);
+    let one_var = Dataset::from_columns(vec![], vec![2], vec![vec![0, 1, 1]]).unwrap();
+    let unknown_model = InferRequest {
+        model_id: 0xBAD_CAFE,
+        queries: vec![Query::marginal(0)],
+    };
+    let unknown_handle = LearnRequest {
+        strategy: StrategySpec::pc(1),
+        dataset: DatasetRef::Handle(0xDEAD_BEEF),
+    };
+    /// One request of the burst and the terminal frame it must get.
+    struct Sent {
+        id: u32,
+        kind: u8,
+        payload: Vec<u8>,
+        reply: u8,
+        code: Option<ErrorCode>,
+    }
+    let sent = |id, kind, payload, reply, code| Sent {
+        id,
+        kind,
+        payload,
+        reply,
+        code,
+    };
+    let burst = [
+        sent(11, kind::HEALTH, vec![], kind::HEALTH_OK, None),
+        sent(12, kind::STATS, vec![], kind::STATS_OK, None),
+        sent(
+            13,
+            kind::DATASET_PUT,
+            hostile_put.into_bytes(),
+            kind::ERROR,
+            Some(ErrorCode::Malformed),
+        ),
+        sent(
+            14,
+            kind::INFER,
+            unknown_model.encode(),
+            kind::ERROR,
+            Some(ErrorCode::UnknownModel),
+        ),
+        sent(15, 0x6F, vec![], kind::ERROR, Some(ErrorCode::Malformed)),
+        sent(
+            16,
+            kind::LEARN,
+            unknown_handle.encode(),
+            kind::ERROR,
+            Some(ErrorCode::UnknownDataset),
+        ),
+        sent(
+            17,
+            kind::DATASET_PUT,
+            DatasetPutRequest { dataset: one_var }.encode(),
+            kind::ERROR,
+            Some(ErrorCode::BadRequest),
+        ),
+    ];
+    for req in &burst {
+        raw.write_all(&encode_frame(req.kind, req.id, &req.payload))
+            .expect("send burst frame");
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let read_before_deadline = |raw: &mut TcpStream| {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .expect("terminal replies arrive before the deadline");
+        raw.set_read_timeout(Some(left)).expect("set read timeout");
+        read_frame(raw)
+            .expect("read")
+            .expect("connection stays open")
+    };
+    let mut terminal: BTreeMap<u32, Vec<(u8, Vec<u8>)>> = BTreeMap::new();
+    while terminal.len() < burst.len() {
+        let frame = read_before_deadline(&mut raw);
+        if frame.kind == kind::EVENT_PROGRESS {
+            continue;
+        }
+        terminal
+            .entry(frame.request_id)
+            .or_default()
+            .push((frame.kind, frame.payload));
+    }
+    for req in &burst {
+        let id = req.id;
+        let replies = &terminal[&id];
+        assert_eq!(replies.len(), 1, "request {id}: one terminal frame");
+        let (got_kind, payload) = &replies[0];
+        assert_eq!(*got_kind, req.reply, "request {id}: terminal kind");
+        if let Some(code) = req.code {
+            let err = ErrorReply::decode(payload).expect("decode error");
+            assert_eq!(err.code, code, "request {id}: error code");
+        }
+    }
+    assert_eq!(terminal.len(), burst.len(), "no replies for unsent ids");
+
+    raw.write_all(&encode_frame(kind::HEALTH, 99, &[]))
+        .expect("send fence");
+    let fence = loop {
+        let frame = read_before_deadline(&mut raw);
+        if frame.kind != kind::EVENT_PROGRESS {
+            break frame;
+        }
+    };
+    assert_eq!((fence.kind, fence.request_id), (kind::HEALTH_OK, 99));
+    drop(raw);
+
+    let mut client = Client::connect(addr).expect("connect for shutdown");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+}
+
 /// Upload-once dataset handles: `DatasetPut` returns the content
 /// fingerprint, by-handle `Learn`/`Fit` produce byte-identical replies
 /// to the inline forms without reshipping the columns, and unknown

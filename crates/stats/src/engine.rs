@@ -36,7 +36,7 @@
 use crate::batch::FILL_BLOCK;
 use crate::contingency::ContingencyTable;
 use crate::simd::{self, SimdTier};
-use fastbn_data::{Dataset, Layout, StateBits};
+use fastbn_data::{Dataset, Layout};
 
 /// One table-fill request: which variables feed which axis of a table.
 ///
@@ -246,8 +246,6 @@ impl CountEngine for TiledScan {
 pub struct BitmapEngine {
     /// Intersection of the current Z-configuration's bitmaps.
     zbuf: Vec<u64>,
-    /// `zbuf` further intersected with the current X-state bitmap.
-    xbuf: Vec<u64>,
     /// Odometer position over the observed Z configurations.
     pos: Vec<usize>,
 }
@@ -291,10 +289,7 @@ impl BitmapEngine {
 
         // Odometer over the observed Z configurations (runs once, with
         // z = 0, when the conditioning set is empty). All word loops
-        // below go through the tier-dispatched kernels in [`crate::simd`];
-        // compressed state bitmaps are consumed through their
-        // container-specialised variants without ever densifying the
-        // operand side.
+        // below go through the tier-dispatched kernels in [`crate::simd`].
         self.pos.clear();
         self.pos.resize(d, 0);
         loop {
@@ -302,25 +297,24 @@ impl BitmapEngine {
             if d > 0 {
                 // Z accumulator: seed from the first conditioning
                 // bitmap, then fused AND-assign the rest.
-                simd::decompress_bits_into(
-                    idx.state_bits(spec.cond[0], obs_z(0)[self.pos[0]]),
-                    &mut self.zbuf,
-                );
+                self.zbuf.clear();
+                self.zbuf
+                    .extend_from_slice(idx.words(spec.cond[0], obs_z(0)[self.pos[0]]));
                 for i in 1..d {
-                    simd::and_assign_bits(
+                    simd::and_assign(
                         &mut self.zbuf,
-                        idx.state_bits(spec.cond[i], obs_z(i)[self.pos[i]]),
+                        idx.words(spec.cond[i], obs_z(i)[self.pos[i]]),
                     );
                 }
             }
             for &xs in obs_x {
-                let xbits = idx.state_bits(spec.x, xs);
+                let xw = idx.words(spec.x, xs);
                 match spec.y {
                     None => {
                         let c = if d == 0 {
-                            simd::popcount_bits(xbits)
+                            simd::popcount(xw)
                         } else {
-                            simd::and_popcount_bits(&self.zbuf, xbits)
+                            simd::and_popcount(&self.zbuf, xw)
                         };
                         if c > 0 {
                             table.add_count(xs, 0, z, c as u32);
@@ -328,45 +322,24 @@ impl BitmapEngine {
                     }
                     Some(yv) if d == 0 => {
                         // Degenerate Z: each cell is a pure pairwise
-                        // intersection, specialised per container pair.
+                        // intersection.
                         for &ys in obs_y {
-                            let c = simd::and_popcount_pair(xbits, idx.state_bits(yv, ys));
+                            let c = simd::and_popcount(xw, idx.words(yv, ys));
                             if c > 0 {
                                 table.add_count(xs, ys, z, c as u32);
                             }
                         }
                     }
-                    Some(yv) => match xbits {
-                        // Dense index: fused three-way AND + popcount per
-                        // cell — no X∩Z intermediate is materialised.
-                        StateBits::Dense(xw) => {
-                            for &ys in obs_y {
-                                let yw = match idx.state_bits(yv, ys) {
-                                    StateBits::Dense(w) => w,
-                                    StateBits::Compressed(_) => {
-                                        unreachable!("index representations are uniform")
-                                    }
-                                };
-                                let c = simd::and_n_popcount(&[&self.zbuf, xw, yw]);
-                                if c > 0 {
-                                    table.add_count(xs, ys, z, c as u32);
-                                }
+                    // Fused three-way AND + popcount per cell — no X∩Z
+                    // intermediate is materialised.
+                    Some(yv) => {
+                        for &ys in obs_y {
+                            let c = simd::and_n_popcount(&[&self.zbuf, xw, idx.words(yv, ys)]);
+                            if c > 0 {
+                                table.add_count(xs, ys, z, c as u32);
                             }
                         }
-                        // Compressed index: one reusable X∩Z accumulator
-                        // serves every Y container of this (x, z) stripe.
-                        StateBits::Compressed(_) => {
-                            self.xbuf.clear();
-                            self.xbuf.extend_from_slice(&self.zbuf);
-                            simd::and_assign_bits(&mut self.xbuf, xbits);
-                            for &ys in obs_y {
-                                let c = simd::and_popcount_bits(&self.xbuf, idx.state_bits(yv, ys));
-                                if c > 0 {
-                                    table.add_count(xs, ys, z, c as u32);
-                                }
-                            }
-                        }
-                    },
+                    }
                 }
             }
             // Advance the odometer (last digit fastest).
@@ -480,16 +453,13 @@ impl EngineSelect {
     /// The `Auto` cost model: true when the bitmap engine is expected to
     /// beat the tiled scan for this query.
     ///
-    /// Per observed Z configuration the bitmap fill streams one word run
-    /// per conditioning bitmap (`Σ_z w̃(z)`), one per X state
-    /// (`r̃x · w̃(x)`), and per (X, Y) cell one Y run (`r̃x · r̃y · w̃(y)`;
-    /// with no Y axis the accumulator re-read `w_acc` takes that slot) —
-    /// observed arities `r̃` and observed configuration count `ñz`,
-    /// since unobserved states are skipped outright. `w̃(v)` is
-    /// [`Dataset::bitmap_mean_state_words`]: `⌈m/64⌉` for a dense (or
-    /// not yet built) index, but the *actual container payload* once a
-    /// compressed index exists — sparse states get cheaper and the model
-    /// flips to the bitmap engine sooner.
+    /// Every state bitmap is `w = ⌈m/64⌉` words. Per observed Z
+    /// configuration the bitmap fill streams one word run per
+    /// conditioning bitmap (`d · w`), one per X state (`r̃x · w`), and per
+    /// (X, Y) cell one Y run (`r̃x · r̃y · w`; with no Y axis the
+    /// accumulator re-read takes that slot) — observed arities `r̃` and
+    /// observed configuration count `ñz`, since unobserved states are
+    /// skipped outright.
     ///
     /// The tiled scan reads `m · (d + 2)` column elements. The two sides
     /// meet where word ops cross element reads scaled by the measured
@@ -497,8 +467,8 @@ impl EngineSelect {
     /// an AVX2/AVX-512 kernel retires several word ops per element read,
     /// moving the flip surface toward the bitmap engine (flip surfaces
     /// measured by `examples/calibrate.rs`; see `crates/stats/README.md`).
-    /// With a dense index and the scalar tier this reduces exactly to
-    /// the historical `w · ñz · (d + r̃x·(1 + r̃y)) ≤ m · (d + 2)` rule.
+    /// With the scalar tier this reduces exactly to the historical
+    /// `w · ñz · (d + r̃x·(1 + r̃y)) ≤ m · (d + 2)` rule.
     /// Whatever the pick, counts are byte-identical — the model only
     /// decides speed, never results.
     pub fn prefers_bitmap(data: &Dataset, spec: &FillSpec<'_>) -> bool {
@@ -506,21 +476,15 @@ impl EngineSelect {
         if m == 0 {
             return false;
         }
-        let w_acc = m.div_ceil(64) as u64;
+        let w = m.div_ceil(64) as u64;
         let rx = data.observed_arity(spec.x) as u64;
         let d = spec.cond.len() as u64;
+        let ry = spec.y.map_or(1, |y| data.observed_arity(y) as u64);
         let mut nz = 1u64;
-        let mut z_words = 0u64;
         for &c in spec.cond {
             nz = nz.saturating_mul(data.observed_arity(c) as u64);
-            z_words += data.bitmap_mean_state_words(c);
         }
-        let y_words = match spec.y {
-            Some(y) => data.observed_arity(y) as u64 * data.bitmap_mean_state_words(y),
-            None => w_acc,
-        };
-        let per_config =
-            z_words + rx.saturating_mul(data.bitmap_mean_state_words(spec.x) + y_words);
+        let per_config = d * w + rx.saturating_mul(w + ry * w);
         let bitmap_word_ops = nz.saturating_mul(per_config);
         let tiled_reads = (m as u64) * (d + 1 + spec.y.is_some() as u64);
         bitmap_word_ops <= tiled_reads.saturating_mul(simd::word_ops_per_read(simd::active_tier()))

@@ -26,9 +26,8 @@
 //!   and the [`engine::EngineSelect`] policy whose `Auto` mode picks per
 //!   query. Both engines produce byte-identical counts.
 //! * [`simd`] — the runtime-dispatched popcount kernel tiers (scalar /
-//!   AVX2 / AVX-512 VPOPCNTDQ) and the compressed-container AND+popcount
-//!   specialisations the bitmap engine is built on; all tiers are
-//!   bit-identical, forceable via `FASTBN_SIMD`.
+//!   AVX2 / AVX-512 VPOPCNTDQ) the bitmap engine is built on; all tiers
+//!   are bit-identical, forceable via `FASTBN_SIMD`.
 //!
 //! Everything here is pure computation (no I/O; the only global state is
 //! the process-wide kernel-tier dispatch, which cannot affect results),

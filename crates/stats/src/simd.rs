@@ -1,6 +1,5 @@
-//! Runtime-dispatched SIMD popcount kernels and compressed-container
-//! AND + popcount specialisations — the word-level engine room of the
-//! bitmap counting backend.
+//! Runtime-dispatched SIMD popcount kernels — the word-level engine room
+//! of the bitmap counting backend.
 //!
 //! Every bitmap-engine cell count reduces to "AND some sample bitmaps,
 //! popcount the result". This module owns those word loops at three
@@ -22,18 +21,11 @@
 //! this). The scalar tail after the vector loop handles remainders, and
 //! non-x86_64 builds compile to the scalar tier only.
 //!
-//! The second half of the module is the compressed-container kernel set:
-//! AND + popcount specialised per [`BlockView`] pair (dense × dense,
-//! dense × sparse, runs × runs, …) so a roaring-style
-//! [`CompressedBitmap`] index (see [`fastbn_data::IndexKind`]) is
-//! intersected in `O(container payload)` instead of `O(⌈m/64⌉)`.
-//!
 //! Every kernel entry point `debug_assert!`s that its operands cover the
 //! same word range — a mismatched index is a logic error upstream and
 //! must fail loudly in debug builds instead of silently truncating the
 //! count.
 
-use fastbn_data::{BlockView, CompressedBitmap, StateBits, BLOCK_WORDS};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -566,248 +558,9 @@ pub fn and_assign(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Compressed-container kernels
-// ---------------------------------------------------------------------------
-
-/// Popcount of set bits in the inclusive bit range `[start, last]` of
-/// `words` (slice-local coordinates): masked edge words, tier-dispatched
-/// middle.
-fn popcount_range(words: &[u64], start: usize, last: usize) -> u64 {
-    let (ws, we) = (start / 64, last / 64);
-    let head = !0u64 << (start % 64);
-    let tail = !0u64 >> (63 - last % 64);
-    if ws == we {
-        return (words[ws] & head & tail).count_ones() as u64;
-    }
-    (words[ws] & head).count_ones() as u64
-        + (words[we] & tail).count_ones() as u64
-        + popcount(&words[ws + 1..we])
-}
-
-/// Clear the inclusive bit range `[start, last]` of `words`.
-fn clear_bit_range(words: &mut [u64], start: usize, last: usize) {
-    let (ws, we) = (start / 64, last / 64);
-    let head = !0u64 << (start % 64);
-    let tail = !0u64 >> (63 - last % 64);
-    if ws == we {
-        words[ws] &= !(head & tail);
-        return;
-    }
-    words[ws] &= !head;
-    for w in &mut words[ws + 1..we] {
-        *w = 0;
-    }
-    words[we] &= !tail;
-}
-
-/// Words of `dense` covered by block `b` of a compressed bitmap.
-#[inline]
-fn block_window<'a>(dense: &'a [u64], cb: &CompressedBitmap, b: usize) -> &'a [u64] {
-    let base = b * BLOCK_WORDS;
-    &dense[base..base + cb.block_bits(b).div_ceil(64)]
-}
-
-/// Popcount of one state bitmap, whatever its representation.
-pub fn popcount_bits(bits: StateBits<'_>) -> u64 {
-    match bits {
-        StateBits::Dense(w) => popcount(w),
-        StateBits::Compressed(cb) => cb.count_ones(),
-    }
-}
-
-/// Popcount of `dense & bits` — the container-vs-accumulator kernel:
-/// sparse and run containers touch `O(payload)` instead of `⌈m/64⌉`.
-///
-/// # Panics
-/// `debug_assert!`s that both sides cover the same word range.
-pub fn and_popcount_bits(dense: &[u64], bits: StateBits<'_>) -> u64 {
-    match bits {
-        StateBits::Dense(w) => and_popcount(dense, w),
-        StateBits::Compressed(cb) => {
-            debug_assert_eq!(
-                dense.len(),
-                cb.n_bits().div_ceil(64),
-                "bitmap word-length mismatch"
-            );
-            let mut sum = 0u64;
-            for b in 0..cb.n_blocks() {
-                let window = block_window(dense, cb, b);
-                sum += match cb.block(b) {
-                    BlockView::Dense(w) => and_popcount(window, w),
-                    BlockView::Sparse(p) => p
-                        .iter()
-                        .filter(|&&pos| window[pos as usize / 64] >> (pos % 64) & 1 == 1)
-                        .count() as u64,
-                    BlockView::Runs(r) => r
-                        .iter()
-                        .map(|&(s, e)| popcount_range(window, s as usize, e as usize))
-                        .sum(),
-                };
-            }
-            sum
-        }
-    }
-}
-
-/// In-place intersection `dst &= bits`, specialised per container: a
-/// sparse block rebuilds each destination word from its position list, a
-/// run block clears the gaps between runs.
-///
-/// # Panics
-/// `debug_assert!`s that both sides cover the same word range.
-pub fn and_assign_bits(dst: &mut [u64], bits: StateBits<'_>) {
-    match bits {
-        StateBits::Dense(w) => and_assign(dst, w),
-        StateBits::Compressed(cb) => {
-            debug_assert_eq!(
-                dst.len(),
-                cb.n_bits().div_ceil(64),
-                "bitmap word-length mismatch"
-            );
-            for b in 0..cb.n_blocks() {
-                let bits_in_block = cb.block_bits(b);
-                let base = b * BLOCK_WORDS;
-                let window = &mut dst[base..base + bits_in_block.div_ceil(64)];
-                match cb.block(b) {
-                    BlockView::Dense(w) => and_assign(window, w),
-                    BlockView::Sparse(p) => {
-                        let mut pi = 0usize;
-                        for (wi, word) in window.iter_mut().enumerate() {
-                            let mut mask = 0u64;
-                            while pi < p.len() && (p[pi] as usize) / 64 == wi {
-                                mask |= 1u64 << (p[pi] % 64);
-                                pi += 1;
-                            }
-                            *word &= mask;
-                        }
-                    }
-                    BlockView::Runs(r) => {
-                        let mut cursor = 0usize;
-                        for &(s, e) in r {
-                            if (s as usize) > cursor {
-                                clear_bit_range(window, cursor, s as usize - 1);
-                            }
-                            cursor = e as usize + 1;
-                        }
-                        if cursor < bits_in_block {
-                            clear_bit_range(window, cursor, bits_in_block - 1);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Expand a state bitmap into `out` as dense words (cleared and resized)
-/// — the Z-accumulator seed of the bitmap engine's intersection loop.
-pub fn decompress_bits_into(bits: StateBits<'_>, out: &mut Vec<u64>) {
-    match bits {
-        StateBits::Dense(w) => {
-            out.clear();
-            out.extend_from_slice(w);
-        }
-        StateBits::Compressed(cb) => cb.decompress_into(out),
-    }
-}
-
-/// Number of positions in the sorted slice `p` that fall inside one of
-/// the sorted disjoint inclusive `runs` — two-pointer merge.
-fn sparse_runs_intersection(p: &[u16], runs: &[(u16, u16)]) -> u64 {
-    let mut count = 0u64;
-    let mut ri = 0usize;
-    for &pos in p {
-        while ri < runs.len() && runs[ri].1 < pos {
-            ri += 1;
-        }
-        if ri == runs.len() {
-            break;
-        }
-        if runs[ri].0 <= pos {
-            count += 1;
-        }
-    }
-    count
-}
-
-/// Popcount of the intersection of two compressed blocks, specialised
-/// per container pair (the 6 combinations).
-fn and_popcount_blocks(a: BlockView<'_>, b: BlockView<'_>) -> u64 {
-    use BlockView::{Dense, Runs, Sparse};
-    match (a, b) {
-        (Dense(x), Dense(y)) => and_popcount(x, y),
-        (Dense(w), Sparse(p)) | (Sparse(p), Dense(w)) => p
-            .iter()
-            .filter(|&&pos| w[pos as usize / 64] >> (pos % 64) & 1 == 1)
-            .count() as u64,
-        (Dense(w), Runs(r)) | (Runs(r), Dense(w)) => r
-            .iter()
-            .map(|&(s, e)| popcount_range(w, s as usize, e as usize))
-            .sum(),
-        (Sparse(p), Sparse(q)) => {
-            // Two-pointer merge over the sorted position lists.
-            let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-            while i < p.len() && j < q.len() {
-                match p[i].cmp(&q[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        count += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            count
-        }
-        (Sparse(p), Runs(r)) | (Runs(r), Sparse(p)) => sparse_runs_intersection(p, r),
-        (Runs(r1), Runs(r2)) => {
-            // Interval intersection: sum overlap lengths.
-            let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-            while i < r1.len() && j < r2.len() {
-                let lo = r1[i].0.max(r2[j].0);
-                let hi = r1[i].1.min(r2[j].1);
-                if lo <= hi {
-                    count += (hi - lo) as u64 + 1;
-                }
-                if r1[i].1 <= r2[j].1 {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            count
-        }
-    }
-}
-
-/// Popcount of the intersection of two state bitmaps in any
-/// representation combination — the degenerate-Z fast path of the
-/// bitmap engine (no accumulator needed for `|Z| = 0` pair cells).
-///
-/// # Panics
-/// `debug_assert!`s that both sides cover the same sample range.
-pub fn and_popcount_pair(a: StateBits<'_>, b: StateBits<'_>) -> u64 {
-    match (a, b) {
-        (StateBits::Dense(x), StateBits::Dense(y)) => and_popcount(x, y),
-        (StateBits::Dense(w), StateBits::Compressed(cb))
-        | (StateBits::Compressed(cb), StateBits::Dense(w)) => {
-            and_popcount_bits(w, StateBits::Compressed(cb))
-        }
-        (StateBits::Compressed(x), StateBits::Compressed(y)) => {
-            debug_assert_eq!(x.n_bits(), y.n_bits(), "bitmap word-length mismatch");
-            (0..x.n_blocks())
-                .map(|b| and_popcount_blocks(x.block(b), y.block(b)))
-                .sum()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbn_data::{BitmapIndex, IndexKind};
 
     /// Deterministic pseudo-random words.
     fn words(n: usize, seed: u64) -> Vec<u64> {
@@ -915,82 +668,5 @@ mod tests {
         let a = words(8, 5);
         let b = words(7, 6);
         and_popcount(&a, &b);
-    }
-
-    #[test]
-    fn compressed_kernels_match_dense_reference() {
-        // A column whose states produce all three container kinds:
-        // state 0 dominates (runs), state 2 is rare (sparse), and a
-        // noisy stripe keeps some blocks dense.
-        let n = (1 << 16) + 999; // crosses a block boundary
-        let mut col = vec![0u8; n];
-        let mut state = 0x5EEDu64;
-        for (i, v) in col.iter_mut().enumerate() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            if i % 1000 == 17 {
-                *v = 2;
-            } else if i < 3000 {
-                *v = (state >> 20 & 1) as u8;
-            }
-        }
-        let dense = BitmapIndex::build_cols_with(IndexKind::Dense, n, &[3], &col);
-        let comp = BitmapIndex::build_cols_with(IndexKind::Compressed, n, &[3], &col);
-        let acc = words(n.div_ceil(64), 0xACC)
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                // Keep trailing bits beyond n zero like a real accumulator.
-                if i == n.div_ceil(64) - 1 && !n.is_multiple_of(64) {
-                    w & ((1u64 << (n % 64)) - 1)
-                } else {
-                    w
-                }
-            })
-            .collect::<Vec<_>>();
-        for s in 0..3usize {
-            let dw = dense.words(0, s);
-            let cbits = comp.state_bits(0, s);
-            assert_eq!(popcount_bits(cbits), scalar::popcount(dw), "state {s}");
-            assert_eq!(
-                and_popcount_bits(&acc, cbits),
-                scalar::and_popcount(&acc, dw),
-                "state {s} and_popcount_bits"
-            );
-            let mut via_assign = acc.clone();
-            and_assign_bits(&mut via_assign, cbits);
-            let mut reference = acc.clone();
-            scalar::and_assign(&mut reference, dw);
-            assert_eq!(via_assign, reference, "state {s} and_assign_bits");
-            let mut decompressed = Vec::new();
-            decompress_bits_into(cbits, &mut decompressed);
-            assert_eq!(decompressed, dw, "state {s} decompress");
-            for t in 0..3usize {
-                assert_eq!(
-                    and_popcount_pair(cbits, comp.state_bits(0, t)),
-                    scalar::and_popcount(dw, dense.words(0, t)),
-                    "pair ({s},{t})"
-                );
-                assert_eq!(
-                    and_popcount_pair(StateBits::Dense(dw), comp.state_bits(0, t)),
-                    scalar::and_popcount(dw, dense.words(0, t)),
-                    "mixed pair ({s},{t})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn popcount_range_edges() {
-        let w = vec![!0u64; 4];
-        assert_eq!(popcount_range(&w, 0, 255), 256);
-        assert_eq!(popcount_range(&w, 63, 64), 2);
-        assert_eq!(popcount_range(&w, 5, 5), 1);
-        assert_eq!(popcount_range(&w, 0, 63), 64);
-        let mut cleared = w.clone();
-        clear_bit_range(&mut cleared, 10, 200);
-        let remaining: u64 = cleared.iter().map(|x| x.count_ones() as u64).sum();
-        assert_eq!(remaining, 256 - 191);
     }
 }

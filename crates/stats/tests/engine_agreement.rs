@@ -4,7 +4,7 @@
 //! the hard requirement that lets every CI test and score run on either
 //! backend without a single decision changing.
 
-use fastbn_data::{set_default_index_kind, Dataset, IndexKind, Layout};
+use fastbn_data::{Dataset, Layout};
 use fastbn_stats::simd::{detected_tier, set_forced_tier};
 use fastbn_stats::{
     mixed_radix_strides, BitmapEngine, ContingencyTable, CountEngine, CountingBackend,
@@ -95,16 +95,16 @@ proptest! {
         prop_assert_eq!(tiled.total(), data.n_samples() as u64);
     }
 
-    /// The kernel-tier × index-representation matrix is invisible: every
-    /// supported SIMD tier (scalar, AVX2, AVX-512 where the host has
-    /// them) against both a dense and a compressed bitmap index produces
-    /// the exact counts of the scalar tiled scan, for CI- and
-    /// score-shaped tables alike.
+    /// The kernel tier is invisible: every supported SIMD tier (scalar,
+    /// AVX2, AVX-512 where the host has them) over the bitmap index
+    /// produces the exact counts of the scalar tiled scan, for CI- and
+    /// score-shaped tables alike. (The index has one representation,
+    /// dense words, so the name's index-kind axis has a single point.)
     ///
-    /// The forced tier and default index kind are process-global, so this
-    /// test briefly flips them for the whole binary; that is safe because
-    /// every tier and representation is count-identical by construction
-    /// and nothing else in this file asserts on engine *picks*.
+    /// The forced tier is process-global, so this test briefly flips it
+    /// for the whole binary; that is safe because every tier is
+    /// count-identical by construction and nothing else in this file
+    /// asserts on engine *picks*.
     #[test]
     fn kernel_tiers_and_index_kinds_agree((data, d) in workload_strategy()) {
         let cond: Vec<usize> = (2..2 + d).collect();
@@ -112,20 +112,13 @@ proptest! {
         let score_ref = fill_with_engine(&mut TiledScan::new(), &data, Layout::ColumnMajor, 1, None, &cond);
         let tiers = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
         for tier in tiers.into_iter().filter(|&t| t <= detected_tier()) {
-            for kind in [IndexKind::Dense, IndexKind::Compressed] {
-                set_forced_tier(Some(tier));
-                set_default_index_kind(kind);
-                // Fresh clone: the bitmap index is cached per dataset at
-                // first build, so reuse would pin the previous kind.
-                let fresh = data.clone();
-                let ci = fill_with_engine(&mut BitmapEngine::new(), &fresh, Layout::ColumnMajor, 0, Some(1), &cond);
-                prop_assert_eq!(ci_ref.raw(), ci.raw(), "ci {:?} {:?}", tier, kind);
-                let score = fill_with_engine(&mut BitmapEngine::new(), &fresh, Layout::ColumnMajor, 1, None, &cond);
-                prop_assert_eq!(score_ref.raw(), score.raw(), "score {:?} {:?}", tier, kind);
-            }
+            set_forced_tier(Some(tier));
+            let ci = fill_with_engine(&mut BitmapEngine::new(), &data, Layout::ColumnMajor, 0, Some(1), &cond);
+            prop_assert_eq!(ci_ref.raw(), ci.raw(), "ci {:?}", tier);
+            let score = fill_with_engine(&mut BitmapEngine::new(), &data, Layout::ColumnMajor, 1, None, &cond);
+            prop_assert_eq!(score_ref.raw(), score.raw(), "score {:?}", tier);
         }
         set_forced_tier(None);
-        set_default_index_kind(IndexKind::Dense);
     }
 
     /// The Auto policy's per-query split is invisible: a mixed batch filled

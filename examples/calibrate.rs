@@ -1,8 +1,8 @@
 //! Calibrate the counting-engine cost model: measure every engine ×
-//! kernel tier × index representation over a (m, arity, |Z|) grid and
-//! print the flip surface the `EngineSelect::Auto` policy should
-//! reproduce, plus the per-tier kernel speedups that justify the
-//! `word_ops_per_read` constants in `fastbn_stats::simd`.
+//! kernel tier over a (m, arity, |Z|) grid and print the flip surface
+//! the `EngineSelect::Auto` policy should reproduce, plus the per-tier
+//! kernel speedups that justify the `word_ops_per_read` constants in
+//! `fastbn_stats::simd`.
 //!
 //! ```sh
 //! cargo run --release --example calibrate                    # small grid
@@ -16,7 +16,7 @@
 //! regions. All engines produce byte-identical counts, so the sweep
 //! asserts agreement as it goes — a calibration run is also a test.
 
-use fastbn::data::{set_default_index_kind, Dataset, IndexKind, Layout};
+use fastbn::data::{Dataset, Layout};
 use fastbn::stats::simd::{self, detected_tier, SimdTier};
 use fastbn::stats::{
     mixed_radix_strides, BitmapEngine, ContingencyTable, CountEngine, EngineSelect, FillSpec,
@@ -97,16 +97,16 @@ fn main() {
     println!("detected kernel tier: {}", detected_tier().name());
     println!(
         "grid: m ∈ {ms:?}, arity ∈ {arities:?}, |Z| ∈ {depths:?} \
-         ({} tiers × dense/compressed)\n",
+         ({} tiers)\n",
         tiers.len()
     );
 
-    // Header: one bitmap column per (tier, kind).
+    // Header: one bitmap column per tier.
     print!("{:>7} {:>6} {:>3} {:>10}", "m", "arity", "|Z|", "tiled_ns");
     for tier in &tiers {
-        print!(" {:>10} {:>10}", format!("{}", tier.name()), "comp");
+        print!(" {:>10}", tier.name());
     }
-    println!(" {:>7} {:>6} {:>6}", "winner", "auto", "mem_x");
+    println!(" {:>7} {:>6}", "winner", "auto");
 
     // Per-tier best-case speedups over scalar, collected across cells.
     let mut speedup_num = vec![0f64; tiers.len()];
@@ -116,37 +116,29 @@ fn main() {
         for &arity in arities {
             for &d in depths {
                 let data = synth(m, arity, 2 + d, 0xfa57 + m as u64 + d as u64);
-                set_default_index_kind(IndexKind::Compressed);
-                let comp_data = data.clone();
-                comp_data.bitmap_index();
-                set_default_index_kind(IndexKind::Dense);
                 data.bitmap_index();
 
                 let (tiled_ns, reference) = time_fill(&mut TiledScan::new(), &data, d);
                 print!("{m:>7} {arity:>6} {d:>3} {tiled_ns:>10}");
 
                 let mut best_bitmap = u64::MAX;
-                let mut scalar_dense_ns = 0u64;
+                let mut scalar_ns = 0u64;
                 for (ti, &tier) in tiers.iter().enumerate() {
                     simd::set_forced_tier(Some(tier));
-                    let (dense_ns, t1) = time_fill(&mut BitmapEngine::new(), &data, d);
-                    let (comp_ns, t2) = time_fill(&mut BitmapEngine::new(), &comp_data, d);
-                    assert_eq!(t1.raw(), reference.raw(), "dense {tier:?} diverged");
-                    assert_eq!(t2.raw(), reference.raw(), "compressed {tier:?} diverged");
+                    let (ns, t) = time_fill(&mut BitmapEngine::new(), &data, d);
+                    assert_eq!(t.raw(), reference.raw(), "{tier:?} diverged");
                     if tier == SimdTier::Scalar {
-                        scalar_dense_ns = dense_ns;
-                    } else if scalar_dense_ns > 0 {
-                        speedup_num[ti] += scalar_dense_ns as f64;
-                        speedup_den[ti] += dense_ns as f64;
+                        scalar_ns = ns;
+                    } else if scalar_ns > 0 {
+                        speedup_num[ti] += scalar_ns as f64;
+                        speedup_den[ti] += ns as f64;
                     }
-                    best_bitmap = best_bitmap.min(dense_ns).min(comp_ns);
-                    print!(" {dense_ns:>10} {comp_ns:>10}");
+                    best_bitmap = best_bitmap.min(ns);
+                    print!(" {ns:>10}");
                 }
                 simd::set_forced_tier(None);
 
-                // What does the Auto policy actually pick here? (The
-                // cost model consults the built index's real container
-                // payloads via `Dataset::bitmap_mean_state_words`.)
+                // What does the Auto policy actually pick here?
                 let cond: Vec<usize> = (2..2 + d).collect();
                 let mut zmul = vec![0usize; cond.len()];
                 mixed_radix_strides(
@@ -172,63 +164,12 @@ fn main() {
                 } else {
                     "tiled"
                 };
-                let mem_ratio = data.bitmap_index().memory_bytes() as f64
-                    / comp_data.bitmap_index().memory_bytes().max(1) as f64;
-                println!(" {winner:>7} {picked:>6} {mem_ratio:>6.1}");
+                println!(" {winner:>7} {picked:>6}");
             }
         }
     }
 
-    // Compression surface: uniform-random low-arity data is
-    // incompressible by design (mixed-density blocks stay dense), so
-    // measure the regimes the containers target — high arity (sparse
-    // states), skew (a few hot states + a long sparse tail), and
-    // sorted samples (run-length wins).
-    println!("\nindex memory, dense vs compressed (m = 65536):");
-    println!(
-        "  {:>6} {:>9} {:>11} {:>11} {:>6}",
-        "arity", "shape", "dense_B", "comp_B", "ratio"
-    );
-    let m = 65_536usize;
-    for arity in [4u8, 16, 64] {
-        for shape in ["uniform", "skewed", "sorted"] {
-            let mut next = stream(0xc0de + arity as u64);
-            let mut col: Vec<u8> = (0..m)
-                .map(|_| match shape {
-                    // 90% of the mass in state 0, the rest uniform.
-                    "skewed" => {
-                        if !next().is_multiple_of(10) {
-                            0
-                        } else {
-                            (next() % arity as u64) as u8
-                        }
-                    }
-                    _ => (next() % arity as u64) as u8,
-                })
-                .collect();
-            if shape == "sorted" {
-                col.sort_unstable();
-            }
-            let dense =
-                fastbn::data::BitmapIndex::build_cols_with(IndexKind::Dense, m, &[arity], &col);
-            let comp = fastbn::data::BitmapIndex::build_cols_with(
-                IndexKind::Compressed,
-                m,
-                &[arity],
-                &col,
-            );
-            println!(
-                "  {:>6} {:>9} {:>11} {:>11} {:>5.1}x",
-                arity,
-                shape,
-                dense.memory_bytes(),
-                comp.memory_bytes(),
-                dense.memory_bytes() as f64 / comp.memory_bytes().max(1) as f64
-            );
-        }
-    }
-
-    println!("\nkernel speedup over scalar (dense index, grid aggregate):");
+    println!("\nkernel speedup over scalar (grid aggregate):");
     println!("  scalar  1.00x  (word_ops_per_read = 1, by definition)");
     for (ti, &tier) in tiers.iter().enumerate() {
         if tier != SimdTier::Scalar && speedup_den[ti] > 0.0 {
@@ -243,7 +184,6 @@ fn main() {
     println!(
         "\nReading the table: `winner` is the measured flip surface, `auto`\n\
          the cost model's pick; a disagreement is a mispriced region.\n\
-         `mem_x` is dense / compressed index bytes (higher = compression\n\
-         pays). Run with FASTBN_CALIBRATE_FULL=1 for the full grid."
+         Run with FASTBN_CALIBRATE_FULL=1 for the full grid."
     );
 }

@@ -216,58 +216,50 @@ fn bitmap_engine_reproduces_tiled_results_across_thread_counts() {
     }
 }
 
-/// The SIMD kernel tier and the bitmap-index representation are
-/// invisible in the results: with the bitmap engine forced (so the
-/// popcount kernels actually run), every learner family reproduces the
-/// scalar/dense reference byte-for-byte under the auto-detected kernel
-/// tier (AVX-512 or AVX2 where the host has them) × a compressed index ×
-/// 1, 2, 4 and 8 threads. This is the acceptance gate of the SIMD +
-/// compressed-bitmap work: all kernel tiers compute identical integer
-/// popcounts and all containers decode to identical bitmaps, so no count
-/// — and therefore no decision — can move. Mirrors the
+/// The SIMD kernel tier is invisible in the results: with the bitmap
+/// engine forced (so the popcount kernels actually run), every learner
+/// family reproduces the scalar reference byte-for-byte under the
+/// auto-detected kernel tier (AVX-512 or AVX2 where the host has them) ×
+/// 1, 2, 4 and 8 threads. All kernel tiers compute identical integer
+/// popcounts, so no count — and therefore no decision — can move. (The
+/// index has one representation, dense words, so the name's index-kind
+/// axis has a single point.) Mirrors the
 /// `FASTBN_SIMD=scalar` vs `auto` byte-equality the CI examples job pins
 /// from the environment side.
 #[test]
 fn simd_tier_and_index_kind_do_not_change_learned_structure() {
-    use fastbn::data::{set_default_index_kind, IndexKind};
     use fastbn::stats::simd::{set_forced_tier, SimdTier};
 
     let net = zoo::by_name("alarm", 11).unwrap();
     let data = net.sample_dataset(2000, 7);
 
-    // Reference: scalar kernels over a dense index (the historical path).
+    // Reference: scalar kernels (the historical path).
     set_forced_tier(Some(SimdTier::Scalar));
-    set_default_index_kind(IndexKind::Dense);
-    let ref_data = data.clone();
     let pc_ref =
         PcStable::new(PcConfig::fast_bns_seq().with_count_engine(EngineSelect::ForceBitmap))
-            .learn(&ref_data);
+            .learn(&data);
     let hc_ref = HillClimb::new(
         HillClimbConfig::default()
             .with_threads(1)
             .with_count_engine(EngineSelect::ForceBitmap),
     )
-    .learn(&ref_data);
+    .learn(&data);
     let hy_ref = HybridLearner::new(
         HybridConfig::fast_bns()
             .with_threads(1)
             .with_count_engine(EngineSelect::ForceBitmap),
     )
-    .learn(&ref_data);
+    .learn(&data);
 
-    // Candidate: best detected kernel tier over a compressed index.
+    // Candidate: best detected kernel tier.
     set_forced_tier(None);
-    set_default_index_kind(IndexKind::Compressed);
     for threads in [1usize, 2, 4, 8] {
-        // Fresh clone per round: the index is cached per dataset at first
-        // build, so a clone is what picks up the compressed default.
-        let run_data = data.clone();
         let pc = PcStable::new(
             PcConfig::fast_bns()
                 .with_threads(threads)
                 .with_count_engine(EngineSelect::ForceBitmap),
         )
-        .learn(&run_data);
+        .learn(&data);
         assert_eq!(pc.skeleton(), pc_ref.skeleton(), "simd pc t={threads}");
         assert_eq!(pc.cpdag(), pc_ref.cpdag(), "simd pc CPDAG t={threads}");
         let hc = HillClimb::new(
@@ -275,7 +267,7 @@ fn simd_tier_and_index_kind_do_not_change_learned_structure() {
                 .with_threads(threads)
                 .with_count_engine(EngineSelect::ForceBitmap),
         )
-        .learn(&run_data);
+        .learn(&data);
         assert_eq!(hc.dag, hc_ref.dag, "simd hill-climb t={threads}");
         assert_eq!(
             hc.score.to_bits(),
@@ -287,7 +279,7 @@ fn simd_tier_and_index_kind_do_not_change_learned_structure() {
                 .with_threads(threads)
                 .with_count_engine(EngineSelect::ForceBitmap),
         )
-        .learn(&run_data);
+        .learn(&data);
         assert_eq!(hy.dag, hy_ref.dag, "simd hybrid t={threads}");
         assert_eq!(hy.cpdag, hy_ref.cpdag, "simd hybrid CPDAG t={threads}");
         assert_eq!(
@@ -296,7 +288,6 @@ fn simd_tier_and_index_kind_do_not_change_learned_structure() {
             "simd hybrid score bits t={threads}"
         );
     }
-    set_default_index_kind(IndexKind::Dense);
 }
 
 /// Repeated score-based runs on the same dataset are identical — the
