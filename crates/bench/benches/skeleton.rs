@@ -18,6 +18,9 @@ fn bench_skeleton(c: &mut Criterion) {
 
     for (label, cfg) in [
         ("fastbns_seq", PcConfig::fast_bns_seq()),
+        // The CI-level scheduler on one thread: its cost over
+        // `fastbns_seq` is the scheduler's own overhead.
+        ("fastbns_ci_t1", PcConfig::fast_bns().with_threads(1)),
         ("fastbns_ci_t2", PcConfig::fast_bns().with_threads(2)),
         (
             "edge_level_t2",

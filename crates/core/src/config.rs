@@ -21,8 +21,8 @@ pub enum ParallelMode {
     /// threads (contingency-table generation), the paper's strawman with
     /// atomic-increment or local-table merging costs.
     SampleLevel,
-    /// Fast-BNS: groups of CI tests scheduled through the dynamic work
-    /// pool.
+    /// Fast-BNS: edges scheduled through the dynamic work pool, each
+    /// run group by group on the worker that popped it.
     CiLevel,
 }
 
@@ -74,7 +74,8 @@ pub struct PcConfig {
     pub mode: ParallelMode,
     /// Worker threads `t` (ignored by `Sequential`). 0 is promoted to 1.
     pub threads: usize,
-    /// Group size `gs ≥ 1`: CI tests per work-pool step (paper §IV-B).
+    /// Group size `gs ≥ 1`: CI tests run per accept/reject decision on
+    /// an edge (paper §IV-B).
     pub group_size: usize,
     /// Fuse the CI tests of `(Vi,Vj)` and `(Vj,Vi)` into one task
     /// (Fast-BNS optimization 2). Off reproduces the original PC-stable

@@ -4,26 +4,29 @@
 //! All of a depth's edges enter a dynamic work pool with zero progress.
 //! A pool entry is only the edge, its test counts and a progress index;
 //! every worker reads the candidate pools from the depth's one shared
-//! [`Adjacency`] snapshot. Workers repeatedly pop an edge, run its next
-//! group of `gs` CI tests with a private engine, then either terminate
-//! the edge (separator found or tests exhausted) or push it back with
-//! advanced progress. Because a popped edge is owned by exactly one
-//! worker, contingency tables are never shared (no atomics), and because
-//! edges circulate in small slices, a straggler edge with thousands of
-//! tests is interleaved across the whole team instead of pinning one
-//! thread (load balance). Completed edges leave the pool immediately,
-//! cancelling their remaining CI tests — the "edge monitoring" early
-//! termination.
+//! [`Adjacency`] snapshot. A worker pops an edge and runs its groups of
+//! `gs` CI tests back to back with its own engine until the edge is
+//! removed (separator found) or its tests are exhausted, then pops the
+//! next. A popped edge is owned by exactly one worker, so contingency
+//! tables are never shared (no atomics), and a removed edge cancels its
+//! remaining CI tests at once — the "edge monitoring" early termination.
+//!
+//! Load balance comes from the pool, not from splitting edges: a worker
+//! that finishes an edge takes whichever edge is next, so a straggler edge
+//! with thousands of tests occupies one worker while the others drain the
+//! rest of the pool. An edge is never handed back. Its tests run in rank
+//! order, one group at a time, so once the pool is empty a handed-back
+//! edge would only move to an idle worker and idle the one that gave it
+//! up.
 //!
 //! The pool is a one-shard [`StealPool`]: the paper's single shared LIFO
-//! stack, whose most recently requeued edge (columns still cache-warm) is
-//! popped next.
+//! stack. Nothing is pushed after the depth starts, so a worker that finds
+//! it empty leaves at once instead of waiting for the others.
 
-use super::common::{process_group, Adjacency, CiEngine, EdgeTask, GroupOutcome, Removal};
+use super::common::{merge_workers, run_edge, worker_slots, Adjacency, EdgeTask, Removal};
 use crate::config::PcConfig;
 use fastbn_data::Dataset;
-use fastbn_parallel::{run_steal_pool, StealPool, StepResult, Team};
-use parking_lot::Mutex;
+use fastbn_parallel::{StealPool, Team};
 
 /// Run one depth through the dynamic work pool on `team`.
 /// Returns (removals, CI tests performed, tests skipped).
@@ -35,36 +38,16 @@ pub fn run_depth(
     tasks: Vec<EdgeTask>,
     d: usize,
 ) -> (Vec<Removal>, u64, u64) {
-    let t = team.n_threads();
     let gs = cfg.group_size as u64;
-    // Per-thread engines and removal buffers behind uncontended mutexes:
-    // only thread `tid` touches slot `tid`.
-    let engines: Vec<Mutex<CiEngine<'_>>> = (0..t)
-        .map(|_| Mutex::new(CiEngine::new(data, cfg)))
-        .collect();
-    let removals: Vec<Mutex<Vec<Removal>>> = (0..t).map(|_| Mutex::new(Vec::new())).collect();
-
     let pool = StealPool::from_shards(vec![tasks]);
-    run_steal_pool(team, &pool, |tid, task| {
-        let mut engine = engines[tid].lock();
-        match process_group(&mut engine, adj, task, gs, d) {
-            GroupOutcome::Removed(r) => {
-                removals[tid].lock().push(r);
-                StepResult::Done
+    let workers = worker_slots(team.n_threads(), data, cfg);
+    team.broadcast(&|tid| {
+        workers.with(tid, |(engine, removals)| {
+            while let Some(task) = pool.pop(tid) {
+                removals.extend(run_edge(engine, adj, task, gs, d));
+                pool.complete_one();
             }
-            GroupOutcome::Exhausted => StepResult::Done,
-            GroupOutcome::InProgress(next) => StepResult::Continue(next),
-        }
+        })
     });
-
-    let mut all = Vec::new();
-    let mut performed = 0;
-    let mut skipped = 0;
-    for (engine, slot) in engines.into_iter().zip(removals) {
-        let engine = engine.into_inner();
-        performed += engine.performed;
-        skipped += engine.skipped;
-        all.extend(slot.into_inner());
-    }
-    (all, performed, skipped)
+    merge_workers(workers)
 }

@@ -8,9 +8,7 @@
 //! further in parallel settings where sibling tasks cannot see each
 //! other's removals.
 
-use super::common::{
-    process_group, Adjacency, CiEngine, CiObserver, EdgeTask, GroupOutcome, Removal,
-};
+use super::common::{run_edge, Adjacency, CiEngine, CiObserver, EdgeTask, Removal};
 use crate::config::PcConfig;
 use fastbn_graph::{SepSets, UGraph};
 
@@ -27,23 +25,16 @@ pub fn run_depth<O: CiObserver>(
     let gs = cfg.group_size as u64;
     let before = engine.performed;
     let mut removals: Vec<Removal> = Vec::new();
-    for mut task in tasks {
+    for task in tasks {
         // An earlier task this depth may have removed this edge (ungrouped
         // sibling directions); the sequential reference skips it.
         if !graph.has_edge(task.u as usize, task.v as usize) {
             continue;
         }
-        loop {
-            match process_group(engine, adj, task, gs, d) {
-                GroupOutcome::Removed(removal) => {
-                    // Apply immediately: later tasks must observe it.
-                    graph.remove_edge(removal.u as usize, removal.v as usize);
-                    removals.push(removal);
-                    break;
-                }
-                GroupOutcome::Exhausted => break,
-                GroupOutcome::InProgress(t) => task = t,
-            }
+        if let Some(removal) = run_edge(engine, adj, task, gs, d) {
+            // Apply immediately: later tasks must observe it.
+            graph.remove_edge(removal.u as usize, removal.v as usize);
+            removals.push(removal);
         }
     }
     let removed = removals.len();

@@ -20,13 +20,22 @@ pub struct PerThread<T> {
 impl<T: Default> PerThread<T> {
     /// Create `n` default-initialized slots.
     pub fn new(n: usize) -> Self {
-        let mut slots = Vec::with_capacity(n.max(1));
-        slots.resize_with(n.max(1), || CachePadded::new(Mutex::new(T::default())));
-        Self { slots }
+        Self::from_fn(n, |_| T::default())
     }
 }
 
 impl<T> PerThread<T> {
+    /// Create `n` slots, slot `tid` holding `init(tid)`. The slots are
+    /// built on the calling thread, so whatever `init` allocates comes
+    /// from that thread's heap, not from each worker's.
+    pub fn from_fn(n: usize, init: impl FnMut(usize) -> T) -> Self {
+        let slots = (0..n.max(1))
+            .map(init)
+            .map(|v| CachePadded::new(Mutex::new(v)))
+            .collect();
+        Self { slots }
+    }
+
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -77,6 +86,17 @@ mod tests {
         assert!(!c.is_empty());
         c.with(0, |v| *v = 42);
         assert_eq!(c.fold(0, |a, b| a + b), 42);
+    }
+
+    #[test]
+    fn from_fn_initializes_each_slot_by_thread_id() {
+        let c = PerThread::from_fn(3, |tid| tid * 10);
+        c.with(1, |v| *v += 1);
+        let all = c.fold(Vec::new(), |mut acc, v| {
+            acc.push(v);
+            acc
+        });
+        assert_eq!(all, vec![0, 11, 20]);
     }
 
     #[test]

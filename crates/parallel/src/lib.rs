@@ -13,8 +13,9 @@
 //!   end, FIFO for thieves) with an in-flight drain protocol, plus
 //!   [`stealpool::run_steal_pool`], which runs the pop → process-group →
 //!   requeue loop on a team. The CI-level skeleton
-//!   scheduler drives it with one shard (the paper's shared stack); the
-//!   score search and the junction tree shard it,
+//!   scheduler pops edges from one shard (the paper's shared stack) and
+//!   runs each to completion; the score search and the junction tree
+//!   shard it,
 //! * [`partition`] — balanced contiguous range splitting (edge-level and
 //!   sample-level static scheduling) and adjacency sharding by owner key
 //!   for seeding the stealing deques,

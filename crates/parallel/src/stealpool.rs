@@ -11,12 +11,15 @@
 //!
 //! With one shard this is exactly the paper's pool: a shared LIFO stack,
 //! which keeps recently touched edges (and their data columns) warm in
-//! cache. The CI-level scheduler runs it that way. With several shards
-//! each worker owns a deque, pushes and pops at its **back** (LIFO), and
-//! only when its own deque runs dry does it **steal** from the **front**
-//! of a victim's deque (FIFO, so the thief takes the oldest task, the one
-//! least likely to be warm in the victim's cache). The score search and
-//! the junction tree's parallel passes drive sharded pools.
+//! cache. The CI-level skeleton scheduler pops from one shard but runs
+//! every popped edge to completion, so it uses neither `requeue` nor the
+//! drain wait: a worker that finds the stack empty is done. With several
+//! shards each worker owns a deque, pushes and pops at its **back**
+//! (LIFO), and only when its own deque runs dry does it **steal** from
+//! the **front** of a victim's deque (FIFO, so the thief takes the oldest
+//! task, the one least likely to be warm in the victim's cache). The
+//! score search and the junction tree's parallel passes drive sharded
+//! pools.
 //!
 //! The pop → process-group → requeue/complete protocol is the same at any
 //! shard count, so [`run_steal_pool`] produces the same set of completed
@@ -146,8 +149,9 @@ pub enum StepResult<T> {
 ///
 /// `step(tid, task)` processes one group of work and decides the task's
 /// fate. Worker `tid` drains its own deque LIFO and steals FIFO when idle;
-/// on a one-shard pool this is exactly the paper's CI-level scheduling
-/// loop.
+/// on a one-shard pool with `gs`-test steps this is the paper's
+/// CI-level scheduling loop as written, which the skeleton's own
+/// scheduler replaces with run-to-completion edges.
 pub fn run_steal_pool<T, F>(team: &Team<'_>, pool: &StealPool<T>, step: F)
 where
     T: Send,

@@ -23,7 +23,12 @@ fn workload(seed: u64) -> Dataset {
     generate_network(&spec, seed).sample_dataset(1500, seed + 1)
 }
 
-fn assert_identical(data: &Dataset, cfg: PcConfig, reference: &LearnResult, label: &str) {
+fn assert_identical(
+    data: &Dataset,
+    cfg: PcConfig,
+    reference: &LearnResult,
+    label: &str,
+) -> LearnResult {
     let got = PcStable::new(cfg).learn(data);
     assert_eq!(
         got.skeleton(),
@@ -40,6 +45,27 @@ fn assert_identical(data: &Dataset, cfg: PcConfig, reference: &LearnResult, labe
             );
         }
     }
+    got
+}
+
+/// [`assert_identical`], plus the amount of work: every depth runs as
+/// many CI tests as the sequential `reference` at the same group size. A
+/// scheduler that silently runs extra or fewer tests fails here even when
+/// its structure agrees.
+fn assert_identical_work(data: &Dataset, cfg: PcConfig, reference: &LearnResult, label: &str) {
+    let got = assert_identical(data, cfg, reference, label);
+    let per_depth = |r: &LearnResult| -> Vec<(usize, u64)> {
+        r.stats()
+            .depths
+            .iter()
+            .map(|d| (d.depth, d.ci_tests))
+            .collect()
+    };
+    assert_eq!(
+        per_depth(&got),
+        per_depth(reference),
+        "{label}: per-depth CI-test counts differ"
+    );
 }
 
 #[test]
@@ -54,12 +80,12 @@ fn all_schedulers_and_thread_counts_agree() {
         ] {
             for threads in [1usize, 2, 3, 5] {
                 let cfg = PcConfig::fast_bns().with_mode(mode).with_threads(threads);
-                assert_identical(
-                    &data,
-                    cfg,
-                    &reference,
-                    &format!("seed {seed} {mode:?} t={threads}"),
-                );
+                let label = format!("seed {seed} {mode:?} t={threads}");
+                if mode == ParallelMode::SampleLevel {
+                    assert_identical(&data, cfg, &reference, &label);
+                } else {
+                    assert_identical_work(&data, cfg, &reference, &label);
+                }
             }
         }
     }
@@ -72,6 +98,31 @@ fn group_sizes_agree() {
     for gs in [1usize, 2, 3, 6, 8, 16, 64] {
         let cfg = PcConfig::fast_bns().with_threads(2).with_group_size(gs);
         assert_identical(&data, cfg, &reference, &format!("gs={gs}"));
+    }
+}
+
+/// A group size changes how many tests an edge runs past its separator,
+/// never which tests: the CI-level and edge-level schedulers run exactly
+/// the per-depth test counts of the sequential scheduler at the same `gs`.
+#[test]
+fn group_sizes_run_the_sequential_amount_of_work() {
+    let data = workload(11);
+    for gs in [1usize, 3, 8] {
+        let reference = PcStable::new(PcConfig::fast_bns_seq().with_group_size(gs)).learn(&data);
+        for mode in [ParallelMode::EdgeLevel, ParallelMode::CiLevel] {
+            for threads in [2usize, 3] {
+                let cfg = PcConfig::fast_bns()
+                    .with_mode(mode)
+                    .with_threads(threads)
+                    .with_group_size(gs);
+                assert_identical_work(
+                    &data,
+                    cfg,
+                    &reference,
+                    &format!("gs={gs} {mode:?} t={threads}"),
+                );
+            }
+        }
     }
 }
 
