@@ -2,9 +2,11 @@
 //! sufficient-statistics batch, once per engine (`ForceTiled` vs
 //! `ForceBitmap`), so the bench gate tracks both sides of the
 //! `EngineSelect::Auto` flip point; plus the raw AND+popcount kernel
-//! tiers and the bitmap-index build.
+//! tiers, the bitmap-index build and a depth-1 CI-test sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fastbn_core::skeleton::common::CiEngine;
+use fastbn_core::PcConfig;
 use fastbn_data::{BitmapIndex, Layout};
 use fastbn_network::zoo;
 use fastbn_score::{LocalScorer, ScoreKind};
@@ -135,10 +137,56 @@ fn bench_index_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every depth-1 CI test of the depth-0 survivors of an alarm replica
+/// at 5k samples, in edge order on one `CiEngine` with the default
+/// (`Auto`) engine and kernel tier: the tests of one edge run back to
+/// back, as a learn runs them, so the bitmap engine's pair cache serves
+/// them. Every test runs (no stop at the first independence), so the
+/// work does not depend on the decisions.
+fn bench_ci_edge_depth1(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engines");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+
+    let net = zoo::by_name("alarm", 3).expect("zoo network");
+    let data = net.sample_dataset(5_000, 17);
+    let mut engine = CiEngine::new(&data, &PcConfig::fast_bns_seq());
+    let n = data.n_vars();
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for u in 0..n {
+        for v in u + 1..n {
+            if !engine.run(u, v, &[]) {
+                adj[u].push(v);
+                adj[v].push(u);
+            }
+        }
+    }
+    let tests: Vec<(usize, usize, usize)> = (0..n)
+        .flat_map(|u| adj[u].iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+        .flat_map(|(u, v)| {
+            let from_u = adj[u].iter().filter(move |&&w| w != v);
+            let from_v = adj[v].iter().filter(move |&&w| w != u);
+            from_u.chain(from_v).map(move |&w| (u, v, w))
+        })
+        .collect();
+    group.bench_function(BenchmarkId::new("ci_edge_depth1", "alarm_5k"), |b| {
+        b.iter(|| {
+            let independent = tests
+                .iter()
+                .filter(|&&(u, v, w)| engine.run(u, v, &[w]))
+                .count();
+            black_box(independent)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_score_batch,
     bench_and_popcount_kernel,
-    bench_index_build
+    bench_index_build,
+    bench_ci_edge_depth1
 );
 criterion_main!(benches);

@@ -2,6 +2,7 @@
 
 use crate::bitmap::BitmapIndex;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Which physical layout a consumer wants to stream.
@@ -82,8 +83,13 @@ impl std::error::Error for DataError {}
 ///
 /// The caches are pure derived data: equality and cloning consider only
 /// the logical contents (a clone starts with cold caches).
+///
+/// Every instance also carries a process-unique [`Dataset::id`], so
+/// consumers can key per-dataset state on it instead of on an address.
 #[derive(Debug)]
 pub struct Dataset {
+    /// Process-unique instance id (see [`Dataset::id`]).
+    id: u64,
     n_vars: usize,
     n_samples: usize,
     arities: Vec<u8>,
@@ -108,6 +114,7 @@ impl Clone for Dataset {
         // their memory cost, and most clones (truncations, test fixtures)
         // never need them.
         Self {
+            id: next_id(),
             n_vars: self.n_vars,
             n_samples: self.n_samples,
             arities: self.arities.clone(),
@@ -122,10 +129,16 @@ impl Clone for Dataset {
     }
 }
 
+/// A fresh [`Dataset::id`]: ids are never reused within a process.
+fn next_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl PartialEq for Dataset {
     fn eq(&self, other: &Self) -> bool {
-        // Logical contents only; row_major is redundant with col_major and
-        // the caches are derived data.
+        // Logical contents only; the id names the instance, row_major is
+        // redundant with col_major and the caches are derived data.
         self.n_vars == other.n_vars
             && self.n_samples == other.n_samples
             && self.arities == other.arities
@@ -199,6 +212,7 @@ impl Dataset {
             col_major.extend_from_slice(col);
         }
         Ok(Self {
+            id: next_id(),
             n_vars,
             n_samples,
             arities,
@@ -236,6 +250,16 @@ impl Dataset {
             }
         }
         Self::from_columns(names, arities, columns)
+    }
+
+    /// This instance's id, unique within the process: every construction
+    /// and every clone takes a new one, and a dataset never changes after
+    /// construction. State derived from one dataset (the bitmap engine's
+    /// pair cache) is keyed on it, so it can never be read against
+    /// another dataset, even one at a reused address.
+    #[inline]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of variables (features / BN nodes).
@@ -534,6 +558,8 @@ mod tests {
         assert_eq!(a, b, "built caches must not affect equality");
         let c = a.clone();
         assert_eq!(c, a);
+        // Equal contents, distinct instances.
+        assert!(a.id() != b.id() && c.id() != a.id());
         // The clone rebuilds its own caches on demand.
         assert_eq!(c.observed_arity(0), a.observed_arity(0));
     }

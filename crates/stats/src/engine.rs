@@ -11,14 +11,17 @@
 //!   the whole batch tiled over [`FILL_BLOCK`]-sample blocks so shared
 //!   column tiles stay L1-resident. Cost `Θ(m · (d + 2))` element reads
 //!   per table; insensitive to table size.
-//! * [`BitmapEngine`] — per-cell AND + popcount over the dataset's cached
-//!   per-(variable, state) sample bitmaps ([`fastbn_data::BitmapIndex`]):
-//!   a cell's count is the popcount of the intersection of its state
-//!   bitmaps, `⌈m/64⌉` words at a time. Cost `Θ(cells · m/64)` word ops
-//!   per table; dominates for low-arity/high-sample queries (a 2×2
-//!   marginal costs ~`m/10` word ops vs `2m` element reads) and loses for
-//!   wide conditioning sets whose configuration space outgrows the sample
-//!   count.
+//! * [`BitmapEngine`] — AND + popcount over the dataset's cached
+//!   per-(variable, state) sample bitmaps ([`fastbn_data::BitmapIndex`]),
+//!   `⌈m/64⌉` words at a time: a cell's count is the popcount of the
+//!   intersection of its state bitmaps. CI tables count against the
+//!   edge's cached `X=x ∧ Y=y` pair bitmaps, and the cells the marginals
+//!   already fix (the last pair per Z configuration, the last
+//!   configuration, a depth-0 table's last row and column) are derived by
+//!   subtraction. Cost `Θ((ñz−1)·(P−1)·m/64)` word ops per CI table over
+//!   `P` nonempty pairs; dominates for low-arity/high-sample queries and
+//!   loses for wide conditioning sets whose configuration space outgrows
+//!   the sample count.
 //!
 //! Both engines produce **byte-identical `u32` counts** — a count table is
 //! a sum of indicator functions, invariant to how the samples are visited
@@ -36,7 +39,7 @@
 use crate::batch::FILL_BLOCK;
 use crate::contingency::ContingencyTable;
 use crate::simd::{self, SimdTier};
-use fastbn_data::{Dataset, Layout};
+use fastbn_data::{BitmapIndex, Dataset, Layout};
 
 /// One table-fill request: which variables feed which axis of a table.
 ///
@@ -232,25 +235,59 @@ impl CountEngine for TiledScan {
     }
 }
 
-/// The bitmap/popcount engine: every cell count is the popcount of the
-/// intersection of its state bitmaps (`X = x`, `Y = y`, `Z_i = z_i`),
-/// streamed 64 samples per word from the dataset's cached
-/// [`fastbn_data::BitmapIndex`].
+/// The bitmap/popcount engine: every count is a popcount over the
+/// dataset's cached per-(variable, state) sample bitmaps
+/// ([`fastbn_data::BitmapIndex`]), 64 samples per word.
 ///
 /// States with zero global frequency are skipped entirely — their cells
 /// stay zero either way — so the engine's work scales with the *observed*
-/// configuration space, the same quantity [`EngineSelect::Auto`]'s cost
-/// model prices. The dataset layout is irrelevant here (the index is its
-/// own layout); the `layout` parameter is accepted and ignored.
+/// configuration space. Counts the marginals already fix are derived, not
+/// counted:
+///
+/// * **CI tables (`y = Some`, `d ≥ 1`)** count against cached pair
+///   bitmaps. The first fill for `(x, y)` stores the `P` nonempty
+///   `X=xs ∧ Y=ys` bitmaps with their totals `n_xy`; later fills for the
+///   same `(dataset, x, y)` — every test of one edge — reuse them. Per
+///   observed Z configuration, `P−1` cells are two-stream
+///   `and_popcount(Z, pair)`s and the last pair takes `n_z − Σ`; the last
+///   configuration takes each pair's `n_xy − Σ`. Cost
+///   `Θ((ñz−1)·(P−1)·m/64)` word ops per table. Pairs that could exceed
+///   the cache cap (32 Ki words = 256 KiB) fall back to the three-way
+///   per-cell loop.
+/// * **Depth-0 tables (`y = Some`, `d = 0`)** count the
+///   `(r̃x−1)·(r̃y−1)` inner cells; each row's last column comes from X's
+///   state frequency and the last row from Y's.
+/// * **Score tables (`y = None`)** count each `X ∧ Z` cell.
+///
+/// The dataset layout is irrelevant here (the index is its own layout);
+/// the `layout` parameter is accepted and ignored.
 #[derive(Debug, Default)]
 pub struct BitmapEngine {
     /// Intersection of the current Z-configuration's bitmaps.
     zbuf: Vec<u64>,
     /// Odometer position over the observed Z configurations.
     pos: Vec<usize>,
+    /// `(dataset id, x, y)` of the cached pairs; `None` when empty.
+    pair_key: Option<(u64, usize, usize)>,
+    /// The cached nonempty `X=xs ∧ Y=ys` bitmaps, one word run each.
+    pair_words: Vec<u64>,
+    /// `(xs, ys)` of each cached pair.
+    pair_states: Vec<(usize, usize)>,
+    /// Samples in each cached pair (`n_xy`).
+    pair_counts: Vec<u64>,
+    /// Samples not yet placed in a cell, per pair (or per Y state at
+    /// depth 0): what the last Z configuration (last X row) receives.
+    rest: Vec<u64>,
 }
 
 impl BitmapEngine {
+    /// Cap on the words the pair cache holds (32 Ki words = 256 KiB,
+    /// L2-sized). A pair `(x, y)` whose observed-state product times
+    /// `⌈m/64⌉` exceeds it is counted cell by cell instead, so hostile
+    /// arities cannot grow the cache. A fixed constant, not a knob: it
+    /// decides speed and memory, never counts.
+    const PAIR_CACHE_WORDS: usize = 32 * 1024;
+
     /// A bitmap engine (scratch grows to the dataset's word count).
     pub fn new() -> Self {
         Self::default()
@@ -272,40 +309,159 @@ impl BitmapEngine {
     /// Fill `table` from the dataset's (cached) bitmap index.
     fn fill_table(&mut self, data: &Dataset, spec: FillSpec<'_>, table: &mut ContingencyTable) {
         self.record_tier();
-        let idx = data.bitmap_index();
-        let d = spec.cond.len();
-        debug_assert_eq!(d, spec.zmul.len());
+        debug_assert_eq!(spec.cond.len(), spec.zmul.len());
         debug_assert_eq!(table.rx(), data.arity(spec.x));
         debug_assert_eq!(table.ry(), spec.y.map_or(1, |y| data.arity(y)));
+        if data.n_samples() == 0 {
+            return; // no samples at all ⇒ the table stays zero
+        }
+        // Every column now has at least one observed state. All word
+        // loops go through the tier-dispatched kernels in [`crate::simd`].
+        match spec.y {
+            Some(y) if spec.cond.is_empty() => self.fill_marginal(data, spec.x, y, table),
+            Some(y) if self.load_pairs(data, spec.x, y) => self.fill_pairs(data, spec, table),
+            _ => self.fill_cells(data, spec, table),
+        }
+    }
 
-        // Observed-state lists are cached on the dataset (this runs per
-        // table, so per-fill allocation here would dominate small fills).
+    /// Depth-0 `X × Y` table: count the `(r̃x−1)·(r̃y−1)` inner cells, and
+    /// derive each row's last column from X's state frequency and the
+    /// last row from Y's minus the rows above it.
+    fn fill_marginal(&mut self, data: &Dataset, x: usize, y: usize, table: &mut ContingencyTable) {
+        let idx = data.bitmap_index();
+        let freqs = data.state_frequencies();
+        let obs_y = data.observed_states(y);
+        let (&x_last, x_inner) = data.observed_states(x).split_last().expect("m > 0");
+        let (&y_last, y_inner) = obs_y.split_last().expect("m > 0");
+        self.rest.clear();
+        self.rest.extend(obs_y.iter().map(|&ys| freqs[y][ys]));
+        for &xs in x_inner {
+            let xw = idx.words(x, xs);
+            let mut row = 0;
+            for (j, &ys) in y_inner.iter().enumerate() {
+                let c = simd::and_popcount(xw, idx.words(y, ys));
+                table.add_count(xs, ys, 0, c as u32);
+                row += c;
+                self.rest[j] -= c;
+            }
+            let c = freqs[x][xs] - row;
+            table.add_count(xs, y_last, 0, c as u32);
+            self.rest[y_inner.len()] -= c;
+        }
+        for (&ys, &c) in obs_y.iter().zip(&self.rest) {
+            table.add_count(x_last, ys, 0, c as u32);
+        }
+    }
+
+    /// Make the pair cache hold the nonempty `X=xs ∧ Y=ys` bitmaps of
+    /// `(x, y)` over `data`, building them unless they already do. False,
+    /// with no pairs cached, when they could exceed
+    /// [`Self::PAIR_CACHE_WORDS`].
+    fn load_pairs(&mut self, data: &Dataset, x: usize, y: usize) -> bool {
+        let key = (data.id(), x, y);
+        if self.pair_key == Some(key) {
+            return true;
+        }
+        self.pair_key = None;
+        let idx = data.bitmap_index();
+        let w = idx.n_words();
+        let (obs_x, obs_y) = (data.observed_states(x), data.observed_states(y));
+        let words = obs_x.len() * obs_y.len() * w;
+        if words > Self::PAIR_CACHE_WORDS {
+            return false;
+        }
+        self.pair_words.clear();
+        self.pair_words.reserve_exact(words);
+        self.pair_states.clear();
+        self.pair_counts.clear();
+        for &xs in obs_x {
+            for &ys in obs_y {
+                let start = self.pair_words.len();
+                self.pair_words.extend_from_slice(idx.words(x, xs));
+                let pair = &mut self.pair_words[start..];
+                simd::and_assign(pair, idx.words(y, ys));
+                let n = simd::popcount(pair);
+                if n == 0 {
+                    self.pair_words.truncate(start);
+                } else {
+                    self.pair_states.push((xs, ys));
+                    self.pair_counts.push(n);
+                }
+            }
+        }
+        self.pair_key = Some(key);
+        true
+    }
+
+    /// Depth ≥ 1 CI table against the cached pairs (see the type docs):
+    /// `P−1` two-stream counts per observed Z configuration but the last.
+    fn fill_pairs(&mut self, data: &Dataset, spec: FillSpec<'_>, table: &mut ContingencyTable) {
+        let idx = data.bitmap_index();
+        let freqs = data.state_frequencies();
+        let w = idx.n_words();
+        let d = spec.cond.len();
+        let obs_z = |i: usize| data.observed_states(spec.cond[i]);
+        let n_configs: usize = (0..d).map(|i| obs_z(i).len()).product();
+        let last_pair = self.pair_states.len() - 1;
+        self.rest.clear();
+        self.rest.extend_from_slice(&self.pair_counts);
+        self.pos.clear();
+        self.pos.resize(d, 0);
+        for _ in 1..n_configs {
+            let z = z_index(&self.pos, obs_z, spec.zmul);
+            // The configuration's bitmap and size: read in place at d = 1,
+            // intersected into `zbuf` otherwise.
+            let (zw, n_z) = if d == 1 {
+                let zs = obs_z(0)[self.pos[0]];
+                (idx.words(spec.cond[0], zs), freqs[spec.cond[0]][zs])
+            } else {
+                intersect_into(&mut self.zbuf, idx, spec.cond, &self.pos, obs_z);
+                (&self.zbuf[..], simd::popcount(&self.zbuf))
+            };
+            if n_z > 0 {
+                let mut placed = 0;
+                for (p, pair) in self.pair_words.chunks_exact(w).take(last_pair).enumerate() {
+                    let c = simd::and_popcount(zw, pair);
+                    let (xs, ys) = self.pair_states[p];
+                    table.add_count(xs, ys, z, c as u32);
+                    placed += c;
+                    self.rest[p] -= c;
+                }
+                let c = n_z - placed;
+                let (xs, ys) = self.pair_states[last_pair];
+                table.add_count(xs, ys, z, c as u32);
+                self.rest[last_pair] -= c;
+            }
+            advance(&mut self.pos, obs_z);
+        }
+        // The last configuration receives whatever each pair has left.
+        let z = z_index(&self.pos, obs_z, spec.zmul);
+        for (&(xs, ys), &c) in self.pair_states.iter().zip(&self.rest) {
+            table.add_count(xs, ys, z, c as u32);
+        }
+    }
+
+    /// Count every observed cell with one AND + popcount (fused
+    /// three-way for a CI table): score tables (`y = None`) and CI tables
+    /// whose pairs exceed the cache cap.
+    fn fill_cells(&mut self, data: &Dataset, spec: FillSpec<'_>, table: &mut ContingencyTable) {
+        let idx = data.bitmap_index();
+        let d = spec.cond.len();
+        debug_assert!(
+            d > 0 || spec.y.is_none(),
+            "depth-0 CI tables take fill_marginal"
+        );
         let obs_x = data.observed_states(spec.x);
         let obs_y = spec.y.map_or(&[][..], |y| data.observed_states(y));
         let obs_z = |i: usize| data.observed_states(spec.cond[i]);
-        if obs_x.is_empty() || (0..d).any(|i| obs_z(i).is_empty()) {
-            return; // no samples at all ⇒ the table stays zero
-        }
-
         // Odometer over the observed Z configurations (runs once, with
-        // z = 0, when the conditioning set is empty). All word loops
-        // below go through the tier-dispatched kernels in [`crate::simd`].
+        // z = 0, when the conditioning set is empty).
         self.pos.clear();
         self.pos.resize(d, 0);
         loop {
-            let z: usize = (0..d).map(|i| obs_z(i)[self.pos[i]] * spec.zmul[i]).sum();
+            let z = z_index(&self.pos, obs_z, spec.zmul);
             if d > 0 {
-                // Z accumulator: seed from the first conditioning
-                // bitmap, then fused AND-assign the rest.
-                self.zbuf.clear();
-                self.zbuf
-                    .extend_from_slice(idx.words(spec.cond[0], obs_z(0)[self.pos[0]]));
-                for i in 1..d {
-                    simd::and_assign(
-                        &mut self.zbuf,
-                        idx.words(spec.cond[i], obs_z(i)[self.pos[i]]),
-                    );
-                }
+                intersect_into(&mut self.zbuf, idx, spec.cond, &self.pos, obs_z);
             }
             for &xs in obs_x {
                 let xw = idx.words(spec.x, xs);
@@ -320,16 +476,6 @@ impl BitmapEngine {
                             table.add_count(xs, 0, z, c as u32);
                         }
                     }
-                    Some(yv) if d == 0 => {
-                        // Degenerate Z: each cell is a pure pairwise
-                        // intersection.
-                        for &ys in obs_y {
-                            let c = simd::and_popcount(xw, idx.words(yv, ys));
-                            if c > 0 {
-                                table.add_count(xs, ys, z, c as u32);
-                            }
-                        }
-                    }
                     // Fused three-way AND + popcount per cell — no X∩Z
                     // intermediate is materialised.
                     Some(yv) => {
@@ -342,21 +488,48 @@ impl BitmapEngine {
                     }
                 }
             }
-            // Advance the odometer (last digit fastest).
-            let mut i = d;
-            loop {
-                if i == 0 {
-                    return;
-                }
-                i -= 1;
-                self.pos[i] += 1;
-                if self.pos[i] < obs_z(i).len() {
-                    break;
-                }
-                self.pos[i] = 0;
+            if !advance(&mut self.pos, obs_z) {
+                return;
             }
         }
     }
+}
+
+/// Flat Z index of the odometer position `pos` over observed states.
+fn z_index<'a>(pos: &[usize], obs_z: impl Fn(usize) -> &'a [usize], zmul: &[usize]) -> usize {
+    pos.iter()
+        .zip(zmul)
+        .enumerate()
+        .map(|(i, (&p, &mul))| obs_z(i)[p] * mul)
+        .sum()
+}
+
+/// `zbuf` ← the intersection of the Z-configuration bitmaps at `pos`:
+/// seeded from the first conditioning bitmap, then fused AND-assign.
+fn intersect_into<'a>(
+    zbuf: &mut Vec<u64>,
+    idx: &BitmapIndex,
+    cond: &[usize],
+    pos: &[usize],
+    obs_z: impl Fn(usize) -> &'a [usize],
+) {
+    zbuf.clear();
+    zbuf.extend_from_slice(idx.words(cond[0], obs_z(0)[pos[0]]));
+    for i in 1..cond.len() {
+        simd::and_assign(zbuf, idx.words(cond[i], obs_z(i)[pos[i]]));
+    }
+}
+
+/// Advance the odometer `pos` (last digit fastest); false once it wraps.
+fn advance<'a>(pos: &mut [usize], obs_z: impl Fn(usize) -> &'a [usize]) -> bool {
+    for i in (0..pos.len()).rev() {
+        pos[i] += 1;
+        if pos[i] < obs_z(i).len() {
+            return true;
+        }
+        pos[i] = 0;
+    }
+    false
 }
 
 impl CountEngine for BitmapEngine {
@@ -372,8 +545,6 @@ impl CountEngine for BitmapEngine {
         tables: &mut [&mut ContingencyTable],
     ) {
         debug_assert_eq!(specs.len(), tables.len());
-        // No cross-table sharing to exploit: each table's cells are
-        // independent popcount queries against the shared index.
         for (spec, table) in specs.iter().zip(tables) {
             self.fill_table(data, *spec, table);
         }
@@ -469,6 +640,11 @@ impl EngineSelect {
     /// measured by `examples/calibrate.rs`; see `crates/stats/README.md`).
     /// With the scalar tier this reduces exactly to the historical
     /// `w · ñz · (d + r̃x·(1 + r̃y)) ≤ m · (d + 2)` rule.
+    /// The model still prices the per-cell three-way path, not the
+    /// cheaper pair path, on purpose: engine picks (and so every
+    /// pick-ratio reading) stay where they were, and what the pair path
+    /// saves depends on how many tests of an edge reuse its pairs, which a
+    /// per-query price cannot see.
     /// Whatever the pick, counts are byte-identical — the model only
     /// decides speed, never results.
     pub fn prefers_bitmap(data: &Dataset, spec: &FillSpec<'_>) -> bool {
@@ -892,6 +1068,51 @@ mod tests {
             assert_eq!(gauge.get(), crate::simd::active_tier() as i64, "{tier:?}");
         }
         crate::simd::set_forced_tier(None);
+    }
+
+    /// Two ~200-state columns: their pair bitmaps would outgrow
+    /// [`BitmapEngine::PAIR_CACHE_WORDS`], so the engine counts cell by
+    /// cell, exactly, and its cache stays under the cap — also after a
+    /// small pair filled it first, and for that pair again afterwards.
+    #[test]
+    fn pairs_over_the_cap_take_the_cell_loop() {
+        let m = 2000;
+        let mut state = 0xCA9_u64;
+        let mut next = |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % modulus) as u8
+        };
+        let cols: Vec<Vec<u8>> = [200u64, 200, 3, 2]
+            .iter()
+            .map(|&a| (0..m).map(|_| next(a)).collect())
+            .collect();
+        let d = Dataset::from_columns(vec![], vec![200, 200, 3, 2], cols).unwrap();
+        let words = d.observed_arity(0) * d.observed_arity(1) * d.bitmap_index().n_words();
+        assert!(
+            words > BitmapEngine::PAIR_CACHE_WORDS,
+            "{words} words fit the cap"
+        );
+
+        let mut engine = BitmapEngine::new();
+        for (x, y, cond, zmul) in [(2, 3, [0], [1]), (0, 1, [2], [1]), (2, 3, [1], [1])] {
+            let (rx, ry, nz) = (d.arity(x), d.arity(y), d.arity(cond[0]));
+            let spec = FillSpec {
+                x,
+                y: Some(y),
+                cond: &cond,
+                zmul: &zmul,
+            };
+            let mut reference = ContingencyTable::new(rx, ry, nz);
+            TiledScan::new().fill_one(&d, Layout::ColumnMajor, spec, &mut reference);
+            let mut t = ContingencyTable::new(rx, ry, nz);
+            engine.fill_one(&d, Layout::ColumnMajor, spec, &mut t);
+            assert_eq!(reference.raw(), t.raw(), "x={x} y={y} cond={cond:?}");
+            let over_cap = x == 0;
+            assert_eq!(engine.pair_key.is_none(), over_cap, "x={x} y={y}");
+            assert!(engine.pair_words.capacity() <= BitmapEngine::PAIR_CACHE_WORDS);
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! datasets (arities 2–5, 0–3 conditioning variables), [`TiledScan`] and
 //! [`BitmapEngine`] must produce **cell-for-cell identical** `u32` counts —
 //! the hard requirement that lets every CI test and score run on either
-//! backend without a single decision changing.
+//! backend without a single decision changing. The bitmap engine also
+//! keeps state across fills (its pair cache), so one suite drives a
+//! long-lived engine through a random sequence of fills.
 
 use fastbn_data::{Dataset, Layout};
 use fastbn_stats::simd::{detected_tier, set_forced_tier};
@@ -40,6 +42,22 @@ fn workload_strategy() -> impl Strategy<Value = (Dataset, usize)> {
         })
 }
 
+/// A zeroed `(x, y | cond)` table and the mixed-radix strides of `cond`.
+fn shaped(
+    data: &Dataset,
+    x: usize,
+    y: Option<usize>,
+    cond: &[usize],
+) -> (ContingencyTable, Vec<usize>) {
+    let rx = data.arity(x);
+    let ry = y.map_or(1, |y| data.arity(y));
+    let mut zmul = vec![0usize; cond.len()];
+    let nz = mixed_radix_strides(|i| data.arity(cond[i]), &mut zmul, rx * ry, usize::MAX)
+        .expect("small tables cannot overflow")
+        .max(1);
+    (ContingencyTable::new(rx, ry, nz), zmul)
+}
+
 /// Fill one `(x, y | cond)` table with the given engine.
 fn fill_with_engine(
     engine: &mut dyn CountEngine,
@@ -49,24 +67,33 @@ fn fill_with_engine(
     y: Option<usize>,
     cond: &[usize],
 ) -> ContingencyTable {
-    let rx = data.arity(x);
-    let ry = y.map_or(1, |y| data.arity(y));
-    let mut zmul = vec![0usize; cond.len()];
-    let nz = mixed_radix_strides(|i| data.arity(cond[i]), &mut zmul, rx * ry, usize::MAX)
-        .expect("small tables cannot overflow")
-        .max(1);
-    let mut table = ContingencyTable::new(rx, ry, nz);
-    engine.fill_one(
-        data,
-        layout,
-        FillSpec {
-            x,
-            y,
-            cond,
-            zmul: &zmul,
-        },
-        &mut table,
-    );
+    let (mut table, zmul) = shaped(data, x, y, cond);
+    let spec = FillSpec {
+        x,
+        y,
+        cond,
+        zmul: &zmul,
+    };
+    engine.fill_one(data, layout, spec, &mut table);
+    table
+}
+
+/// Fill one `(x, y | cond)` CI table through a backend.
+fn fill_with_backend(
+    backend: &mut CountingBackend,
+    data: &Dataset,
+    x: usize,
+    y: usize,
+    cond: &[usize],
+) -> ContingencyTable {
+    let (mut table, zmul) = shaped(data, x, Some(y), cond);
+    let spec = FillSpec {
+        x,
+        y: Some(y),
+        cond,
+        zmul: &zmul,
+    };
+    backend.fill_one(data, Layout::ColumnMajor, spec, &mut table);
     table
 }
 
@@ -153,4 +180,81 @@ proptest! {
             prop_assert_eq!(auto[i].raw(), bitmap[i].raw());
         }
     }
+
+    /// A long-lived bitmap engine and backend stay exact across a random
+    /// sequence of fills: the same `(x, y)` with a new conditioning set,
+    /// `x ↔ y` swaps, depths 0..=3 and two datasets of equal shape
+    /// through the same engine (its pair cache must never serve one
+    /// dataset's pairs to the other). Variable 4 never takes its top
+    /// declared state and variable 5 is constant.
+    #[test]
+    fn long_lived_engines_agree_across_fill_sequences(
+        (a, b) in fill_sequence_datasets(),
+        ops in proptest::collection::vec((0u8..4, 0usize..N_VARS, 0usize..N_VARS, 0usize..=3, any::<u64>()), 1..24),
+    ) {
+        let datasets = [&a, &b];
+        let mut engine = BitmapEngine::new();
+        let mut backend = CountingBackend::new(EngineSelect::ForceBitmap);
+        let (mut ds, mut x, mut y) = (0usize, 0usize, 1usize);
+        for (step, &(kind, p, q, d, seed)) in ops.iter().enumerate() {
+            match kind {
+                // A fresh pair.
+                0 => (x, y) = (p, if q == p { (p + 1) % N_VARS } else { q }),
+                // Swap the endpoints.
+                1 => (x, y) = (y, x),
+                // The same pair over the other dataset.
+                2 => ds ^= 1,
+                // The same pair and dataset: only the conditioning set moves.
+                _ => {}
+            }
+            // `d` of the other variables, in a seed-chosen order.
+            let mut rest: Vec<usize> = (0..N_VARS).filter(|&v| v != x && v != y).collect();
+            let mut s = seed;
+            let cond: Vec<usize> = (0..d)
+                .map(|_| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    rest.swap_remove((s >> 33) as usize % rest.len())
+                })
+                .collect();
+            let data = datasets[ds];
+            let reference = fill_with_engine(&mut TiledScan::new(), data, Layout::ColumnMajor, x, Some(y), &cond);
+            let reused = fill_with_engine(&mut engine, data, Layout::ColumnMajor, x, Some(y), &cond);
+            prop_assert_eq!(reference.raw(), reused.raw(), "engine, step {}: ds={} x={} y={} cond={:?}", step, ds, x, y, &cond);
+            let via_backend = fill_with_backend(&mut backend, data, x, y, &cond);
+            prop_assert_eq!(reference.raw(), via_backend.raw(), "backend, step {}: ds={} x={} y={} cond={:?}", step, ds, x, y, &cond);
+        }
+    }
+}
+
+/// Variables of the fill-sequence datasets.
+const N_VARS: usize = 6;
+
+/// Two datasets with equal arities (2..=5) and sample counts but
+/// independent values; in both, variable 4 never takes its top declared
+/// state and variable 5 is constant.
+fn fill_sequence_datasets() -> impl Strategy<Value = (Dataset, Dataset)> {
+    (proptest::collection::vec(2u8..=5, N_VARS), 1usize..200)
+        .prop_flat_map(|(arities, m)| {
+            let raw = proptest::collection::vec(0u8..60, 2 * m * N_VARS);
+            (Just(arities), raw, Just(m))
+        })
+        .prop_map(|(arities, raw, m)| {
+            let build = |raw: &[u8]| {
+                let columns: Vec<Vec<u8>> = arities
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &a)| {
+                        let col = &raw[v * m..(v + 1) * m];
+                        match v {
+                            4 => col.iter().map(|&x| x % (a - 1)).collect(),
+                            5 => vec![col[0] % a; m],
+                            _ => col.iter().map(|&x| x % a).collect(),
+                        }
+                    })
+                    .collect();
+                Dataset::from_columns(vec![], arities.clone(), columns).expect("valid columns")
+            };
+            let (first, second) = raw.split_at(m * N_VARS);
+            (build(first), build(second))
+        })
 }
