@@ -15,25 +15,34 @@
 //! 3. collect the maximal **cliques** and connect them into a junction
 //!    tree (maximum-sepset-weight spanning tree, canonical tie-breaks),
 //! 4. **calibrate** with two-pass belief propagation — clique-potential
-//!    products and sepset marginalizations fanned over the existing
-//!    [`fastbn_parallel::StealPool`], with every per-clique reduction in a
-//!    fixed structural order so the calibrated beliefs are **bitwise
-//!    identical at 1, 2, 4 and 8 threads**.
+//!    products and sepset marginalizations, level by level, with every
+//!    per-clique reduction in a fixed structural order so the calibrated
+//!    beliefs are **bitwise identical at 1, 2, 4 and 8 threads**.
 //!
 //! Queries then amortize: [`JoinTree::posteriors`] answers a whole batch
 //! against the calibrated tree in one pass. Evidence-free queries are a
-//! single sepset-sized marginalization; queries with evidence are grouped
-//! by evidence set and answered by **local re-propagation** — only the
-//! messages on the paths between the evidence cliques, the root and the
-//! target are recomputed, every other message is reused from the base
-//! calibration. Distinct evidence groups are independent, so the batch
-//! fans over the `StealPool` with one [`fastbn_stats::FactorArena`] of
-//! reusable product tables per worker.
+//! single marginalization of a calibrated belief; queries with evidence
+//! are grouped by evidence set and answered by **demand-driven local
+//! re-propagation**. A message changes under the evidence only when the
+//! evidence lies on its far side: an upward message when its subtree
+//! holds evidence, a downward message when evidence lies outside the
+//! subtree it enters. Every other message equals its base-calibration
+//! value bit for bit (same function, same sources, same order), so it is
+//! read from the base calibration by reference. Changed messages are
+//! computed only when a target's belief needs them — along the path from
+//! the evidence cliques to each target's home clique — and memoized for
+//! the rest of the group.
+//!
+//! Calibration levels and query batches run on the calling thread unless
+//! their predicted work reaches `TEAM_MIN_CELLS`; from there they fan over
+//! a [`fastbn_parallel::StealPool`] team with one
+//! [`fastbn_stats::FactorArena`] of reusable product tables per worker.
 //!
 //! ## Memory cost
 //!
-//! Calibration stores one belief table per clique: the resident cost is
-//! `Σ_C ∏ arities(C)` cells — exponential in the clique width, which is
+//! Calibration stores one belief table per clique plus both base messages
+//! on every tree edge: the resident cost is `Σ_C ∏ arities(C)` cells plus
+//! twice the sepset cells — exponential in the clique width, which is
 //! why [`JoinTreeStats::max_clique_cells`] is worth checking before
 //! calibrating a dense network (variable elimination never materializes
 //! more than one elimination frontier at a time and stays the better tool
@@ -47,7 +56,27 @@ use fastbn_graph::{BitSet, UGraph};
 use fastbn_parallel::{run_steal_pool, StealPool, StepResult, Team};
 use fastbn_stats::FactorArena;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::BTreeMap;
+
+/// Predicted work, in clique-table cells, from which a calibration level
+/// or a query batch fans over a thread team instead of running on the
+/// calling thread.
+///
+/// A level's prediction is the sum of its cliques' cells; a batch's is its
+/// number of evidence groups × [`JoinTreeStats::total_belief_cells`].
+/// Inline, a predicted cell of a 16-query batch costs about 4–8 ns (hybrid
+/// models learned from 5000 hepar2 and alarm samples, 2-vCPU x86 host),
+/// so the constant is about 0.4–0.8 ms of work: 7–14× the ≈57 µs it takes
+/// to spawn and join a 2-thread team (perfbench `parallel.team_spawn_us`),
+/// the margin a split into a few coarse, unequal items needs before
+/// halving the work repays the spawn. Forcing every level and batch onto a
+/// 2-thread team on that host made those 16-query batches 1.3–3× slower
+/// and the builds 2–7× slower, while the 1000-query alarm batch of
+/// `benches/infer.rs` (37 groups × 4910 cells) ran about 1.4× faster than
+/// inline. Perfbench's 16-query batches (at most ~64k cells) and its
+/// models' calibration levels (at most ~1.2k cells) run inline.
+const TEAM_MIN_CELLS: usize = 100_000;
 
 /// One posterior request: `P(target | evidence)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,9 +157,13 @@ pub struct JoinTree {
     /// Evidence-free clique potentials (products of assigned CPT factors).
     potentials: Vec<Factor>,
     /// Base upward messages from the evidence-free calibration (`None`
-    /// only at the root). Reused by local re-propagation for every clique
+    /// only at the root). Read by local re-propagation for every clique
     /// whose subtree holds no evidence.
     base_up: Vec<Option<Factor>>,
+    /// Base downward messages, one into each clique (`None` only at the
+    /// root). Read by local re-propagation for every clique whose subtree
+    /// holds all of the evidence.
+    base_down: Vec<Option<Factor>>,
     /// Calibrated evidence-free beliefs, one full table per clique.
     beliefs: Vec<Factor>,
     threads: usize,
@@ -138,8 +171,9 @@ pub struct JoinTree {
 }
 
 impl JoinTree {
-    /// Build and calibrate a junction tree for `net`, fanning clique work
-    /// over `threads` workers (0 is promoted to 1). Results are bitwise
+    /// Build and calibrate a junction tree for `net`, fanning calibration
+    /// levels (and later query batches) that reach `TEAM_MIN_CELLS` over
+    /// `threads` workers (0 is promoted to 1). Results are bitwise
     /// identical for every thread count.
     ///
     /// # Panics
@@ -235,6 +269,7 @@ impl JoinTree {
             home,
             potentials: Vec::new(),
             base_up: Vec::new(),
+            base_down: Vec::new(),
             beliefs: Vec::new(),
             threads,
             stats,
@@ -248,125 +283,148 @@ impl JoinTree {
         &self.stats
     }
 
-    /// Worker-thread count used for calibration and batched queries.
+    /// Worker-thread count of the team that calibration levels and query
+    /// batches fan over once their work reaches `TEAM_MIN_CELLS`.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// Evidence-free potential construction plus the two-pass calibration,
-    /// both fanned over a [`StealPool`] level by level.
+    /// level by level.
     fn calibrate(&mut self, net: &BayesNet, assigned: &[Vec<usize>]) {
         let _span = fastbn_obs::span!("network.jointree.calibrate");
         let t0 = std::time::Instant::now();
         let k = self.cliques.len();
+        let all: Vec<usize> = (0..k).collect();
         let cpt_factors: Vec<Factor> = (0..self.n_vars).map(|v| Factor::from_cpt(net, v)).collect();
 
         // Clique potentials: each clique's assigned CPT factors multiplied
         // (in node-id order) into a full clique-scope table.
-        let potentials = self.par_map(k, &(0..k).collect::<Vec<_>>(), &|c, arena| {
+        self.potentials = self.par_map(&all, &|c, _| {
             let srcs: Vec<&Factor> = assigned[c].iter().map(|&v| &cpt_factors[v]).collect();
-            self.scope_product(c, &srcs, arena)
+            self.scope_product(c, &srcs)
         });
-        self.potentials = potentials.into_iter().map(Option::unwrap).collect();
 
         // Upward pass: deepest level first; every clique's message to its
         // parent depends only on the previous (deeper) levels.
-        let mut up: Vec<Option<Factor>> = (0..k).map(|_| None).collect();
-        for depth in (1..self.levels.len()).rev() {
-            let ids = self.levels[depth].clone();
-            let mut computed =
-                self.par_map(k, &ids, &|c, arena| self.up_message(c, None, &up, arena));
-            for &c in &ids {
-                up[c] = computed[c].take();
+        let mut up: Vec<Option<Factor>> = vec![None; k];
+        let mut down: Vec<Option<Factor>> = vec![None; k];
+        for ids in self.levels[1..].iter().rev() {
+            let msgs = self.par_map(ids, &|c, arena| {
+                self.up_message(c, &Sources::calibration(&up, &down), arena)
+            });
+            for (&c, m) in ids.iter().zip(msgs) {
+                up[c] = Some(m);
             }
         }
         // Downward pass: root level first; each clique computes its own
         // inbound message from its parent's data.
-        let mut down: Vec<Option<Factor>> = (0..k).map(|_| None).collect();
-        for depth in 1..self.levels.len() {
-            let ids = self.levels[depth].clone();
-            let mut computed = self.par_map(k, &ids, &|c, arena| {
-                self.down_message(c, None, &down, &up, arena)
+        for ids in &self.levels[1..] {
+            let msgs = self.par_map(ids, &|c, arena| {
+                self.down_message(c, &Sources::calibration(&up, &down), arena)
             });
-            for &c in &ids {
-                down[c] = computed[c].take();
+            for (&c, m) in ids.iter().zip(msgs) {
+                down[c] = Some(m);
             }
         }
         // Beliefs: potential × inbound message × child messages, full scope.
-        let beliefs = self.par_map(k, &(0..k).collect::<Vec<_>>(), &|c, arena| {
-            let srcs = self.belief_sources(c, None, &down, &up);
-            self.scope_product(c, &srcs, arena)
+        self.beliefs = self.par_map(&all, &|c, _| {
+            self.scope_product(
+                c,
+                &self.belief_sources(c, &Sources::calibration(&up, &down)),
+            )
         });
-        self.beliefs = beliefs.into_iter().map(Option::unwrap).collect();
         self.base_up = up;
+        self.base_down = down;
         fastbn_obs::counter!("fastbn.network.jointree.calibrations").inc();
         fastbn_obs::histogram!("fastbn.network.jointree.calibrate_us")
             .observe_duration(t0.elapsed());
     }
 
-    /// Run `f` over `ids`, fanned over the `StealPool` when it pays, and
-    /// collect the results into an id-indexed vector (length `slots`).
-    /// Each id is processed by exactly one worker with a fixed-order
-    /// closure, so the output is schedule-invariant.
-    fn par_map(
+    /// Whether `items` pieces of work predicted at `cells` table cells in
+    /// total go to a thread team rather than the calling thread: only with
+    /// two or more threads and items, from [`TEAM_MIN_CELLS`] on.
+    fn fans_out(&self, items: usize, cells: usize) -> bool {
+        self.threads > 1 && items > 1 && cells >= TEAM_MIN_CELLS
+    }
+
+    /// Run `f` on items `0..n` (predicted at `cells` in total) and collect
+    /// the outputs in item order: on the calling thread, or over a
+    /// `StealPool` team when [`JoinTree::fans_out`] says it pays. Each item
+    /// is processed by exactly one worker with a fixed-order closure, so
+    /// the output is schedule-invariant.
+    fn fan<T: Send>(
         &self,
-        slots: usize,
-        ids: &[usize],
-        f: &(dyn Fn(usize, &mut FactorArena) -> Factor + Sync),
-    ) -> Vec<Option<Factor>> {
-        let mut out: Vec<Option<Factor>> = (0..slots).map(|_| None).collect();
-        if self.threads <= 1 || ids.len() <= 1 {
+        n: usize,
+        cells: usize,
+        f: &(dyn Fn(usize, &mut FactorArena) -> T + Sync),
+    ) -> Vec<T> {
+        if !self.fans_out(n, cells) {
             let mut arena = FactorArena::new();
-            for &id in ids {
-                out[id] = Some(f(id, &mut arena));
-            }
-            return out;
+            return (0..n).map(|i| f(i, &mut arena)).collect();
         }
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); self.threads];
-        for (i, &id) in ids.iter().enumerate() {
-            shards[i % self.threads].push(id);
+        for i in 0..n {
+            shards[i % self.threads].push(i);
         }
         let pool = StealPool::from_shards(shards);
         let scratch: Vec<Mutex<FactorArena>> = (0..self.threads)
             .map(|_| Mutex::new(FactorArena::new()))
             .collect();
-        let results = Mutex::new(Vec::with_capacity(ids.len()));
+        let results = Mutex::new(Vec::with_capacity(n));
         Team::scoped(self.threads, |team| {
-            run_steal_pool(team, &pool, |tid, id| {
-                let msg = f(id, &mut scratch[tid].lock());
-                results.lock().push((id, msg));
+            run_steal_pool(team, &pool, |tid, i| {
+                let out = f(i, &mut scratch[tid].lock());
+                results.lock().push((i, out));
                 StepResult::Done
             });
         });
-        for (id, msg) in results.into_inner() {
-            out[id] = Some(msg);
-        }
-        out
+        let mut results = results.into_inner();
+        results.sort_unstable_by_key(|r| r.0);
+        results.into_iter().map(|(_, out)| out).collect()
     }
 
-    /// The potential of clique `c` under an evidence overlay (`None` means
-    /// the base, evidence-free potential).
-    fn pot<'a>(&'a self, c: usize, overlay: Option<&'a [Option<Factor>]>) -> &'a Factor {
-        overlay
-            .and_then(|o| o[c].as_ref())
+    /// [`JoinTree::fan`] over cliques `ids`, predicted at their summed
+    /// cells; outputs align with `ids`.
+    fn par_map(
+        &self,
+        ids: &[usize],
+        f: &(dyn Fn(usize, &mut FactorArena) -> Factor + Sync),
+    ) -> Vec<Factor> {
+        let cells = ids.iter().map(|&c| self.cliques[c].cells).sum();
+        self.fan(ids.len(), cells, &|i, arena| f(ids[i], arena))
+    }
+
+    /// The potential of clique `c`: evidence-reduced if `s` holds one,
+    /// else the base potential.
+    fn pot<'a>(&'a self, c: usize, s: &Sources<'a>) -> &'a Factor {
+        s.pots
+            .get(c)
+            .and_then(Option::as_ref)
             .unwrap_or(&self.potentials[c])
+    }
+
+    /// The upward message of clique `c`: recomputed in `s`, else base.
+    fn up_of<'a>(&'a self, c: usize, s: &Sources<'a>) -> &'a Factor {
+        s.resolve(s.up, &self.base_up, c)
+    }
+
+    /// The downward message into clique `c` (`None` at the root):
+    /// recomputed in `s`, else base.
+    fn down_of<'a>(&'a self, c: usize, s: &Sources<'a>) -> Option<&'a Factor> {
+        self.cliques[c].parent?;
+        Some(s.resolve(s.down, &self.base_down, c))
     }
 
     /// Upward message of clique `c` to its parent: the clique product
     /// (potential × child messages, fixed order) marginalized onto the
     /// parent sepset.
-    fn up_message(
-        &self,
-        c: usize,
-        overlay: Option<&[Option<Factor>]>,
-        up: &[Option<Factor>],
-        arena: &mut FactorArena,
-    ) -> Factor {
+    fn up_message(&self, c: usize, s: &Sources<'_>, arena: &mut FactorArena) -> Factor {
         let cl = &self.cliques[c];
         let mut srcs: Vec<&Factor> = Vec::with_capacity(cl.children.len() + 1);
-        srcs.push(self.pot(c, overlay));
+        srcs.push(self.pot(c, s));
         for &ch in &cl.children {
-            srcs.push(up[ch].as_ref().expect("child message computed first"));
+            srcs.push(self.up_of(ch, s));
         }
         self.message(c, &srcs, &cl.sepset, arena)
     }
@@ -374,45 +432,28 @@ impl JoinTree {
     /// Downward message into clique `c` from its parent: the parent's
     /// product with `c`'s own contribution left out, marginalized onto
     /// `c`'s sepset.
-    fn down_message(
-        &self,
-        c: usize,
-        overlay: Option<&[Option<Factor>]>,
-        down: &[Option<Factor>],
-        up: &[Option<Factor>],
-        arena: &mut FactorArena,
-    ) -> Factor {
+    fn down_message(&self, c: usize, s: &Sources<'_>, arena: &mut FactorArena) -> Factor {
         let p = self.cliques[c].parent.expect("root has no inbound message");
         let pc = &self.cliques[p];
         let mut srcs: Vec<&Factor> = Vec::with_capacity(pc.children.len() + 1);
-        srcs.push(self.pot(p, overlay));
-        if let Some(d) = down[p].as_ref() {
-            srcs.push(d);
-        }
+        srcs.push(self.pot(p, s));
+        srcs.extend(self.down_of(p, s));
         for &sib in &pc.children {
             if sib != c {
-                srcs.push(up[sib].as_ref().expect("sibling message computed first"));
+                srcs.push(self.up_of(sib, s));
             }
         }
         self.message(p, &srcs, &self.cliques[c].sepset, arena)
     }
 
     /// The fixed-order source list whose product is clique `c`'s belief.
-    fn belief_sources<'a>(
-        &'a self,
-        c: usize,
-        overlay: Option<&'a [Option<Factor>]>,
-        down: &'a [Option<Factor>],
-        up: &'a [Option<Factor>],
-    ) -> Vec<&'a Factor> {
+    fn belief_sources<'a>(&'a self, c: usize, s: &Sources<'a>) -> Vec<&'a Factor> {
         let cl = &self.cliques[c];
         let mut srcs: Vec<&Factor> = Vec::with_capacity(cl.children.len() + 2);
-        srcs.push(self.pot(c, overlay));
-        if let Some(d) = down[c].as_ref() {
-            srcs.push(d);
-        }
+        srcs.push(self.pot(c, s));
+        srcs.extend(self.down_of(c, s));
         for &ch in &cl.children {
-            srcs.push(up[ch].as_ref().expect("child message computed first"));
+            srcs.push(self.up_of(ch, s));
         }
         srcs
     }
@@ -431,12 +472,10 @@ impl JoinTree {
         out
     }
 
-    /// Product of `srcs` over clique `c`'s full scope, as an owned factor.
-    fn scope_product(&self, c: usize, srcs: &[&Factor], arena: &mut FactorArena) -> Factor {
-        // The arena keeps per-worker scratch alive for the message path;
-        // full-scope products are the tables we intend to keep, so they
-        // allocate their own storage.
-        let _ = arena;
+    /// Product of `srcs` over clique `c`'s full scope, as an owned factor
+    /// (a table to keep, so it allocates its own storage, not an arena
+    /// slot).
+    fn scope_product(&self, c: usize, srcs: &[&Factor]) -> Factor {
         let cl = &self.cliques[c];
         let mut values = vec![1.0; cl.cells];
         product_into_slice(&cl.vars, &cl.arities, srcs, &mut values);
@@ -466,8 +505,11 @@ impl JoinTree {
     /// Answer a batch of posterior queries against the calibrated tree.
     ///
     /// Queries are grouped by (canonicalized) evidence set; each distinct
-    /// set is answered by local re-propagation and the groups fan over the
-    /// `StealPool`. Answers come back in query order. Per-query failures
+    /// set is answered by local re-propagation, and the groups run on the
+    /// calling thread unless their predicted work (evidence groups ×
+    /// total belief cells) reaches `TEAM_MIN_CELLS`, from which they fan
+    /// over a `StealPool` team. Answers come back in query order, bitwise
+    /// identical either way. Per-query failures
     /// (impossible evidence) are reported per slot — one bad query never
     /// poisons the batch.
     ///
@@ -505,49 +547,20 @@ impl JoinTree {
             let (ev, idxs) = &groups[gi];
             let targets: Vec<usize> = idxs.iter().map(|&i| queries[i].target).collect();
             let answers = self.group_posteriors(ev, &targets, arena);
-            let out: Vec<(usize, Result<Posterior, InferenceError>)> = idxs
-                .iter()
+            idxs.iter()
                 .zip(answers)
                 .map(|(&i, r)| {
-                    (
-                        i,
-                        r.map(|probs| Posterior {
-                            target: queries[i].target,
-                            probs,
-                        }),
-                    )
+                    let target = queries[i].target;
+                    (i, r.map(|probs| Posterior { target, probs }))
                 })
-                .collect();
-            out
+                .collect::<Vec<_>>()
         };
-
-        if self.threads <= 1 || groups.len() <= 1 {
-            let mut arena = FactorArena::new();
-            for gi in 0..groups.len() {
-                for (i, r) in solve(gi, &mut arena) {
-                    results[i] = Some(r);
-                }
-            }
-        } else {
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); self.threads];
-            for gi in 0..groups.len() {
-                shards[gi % self.threads].push(gi);
-            }
-            let pool = StealPool::from_shards(shards);
-            let scratch: Vec<Mutex<FactorArena>> = (0..self.threads)
-                .map(|_| Mutex::new(FactorArena::new()))
-                .collect();
-            let answered = Mutex::new(Vec::with_capacity(queries.len()));
-            Team::scoped(self.threads, |team| {
-                run_steal_pool(team, &pool, |tid, gi| {
-                    let out = solve(gi, &mut scratch[tid].lock());
-                    answered.lock().extend(out);
-                    StepResult::Done
-                });
-            });
-            for (i, r) in answered.into_inner() {
-                results[i] = Some(r);
-            }
+        // The evidence-free group only reads calibrated beliefs; every
+        // other group may touch up to every clique once.
+        let evidence_groups = groups.iter().filter(|(ev, _)| !ev.is_empty()).count();
+        let cells = evidence_groups.saturating_mul(self.stats.total_belief_cells);
+        for (i, r) in self.fan(groups.len(), cells, &solve).into_iter().flatten() {
+            results[i] = Some(r);
         }
         results
             .into_iter()
@@ -555,11 +568,12 @@ impl JoinTree {
             .collect()
     }
 
-    /// Answer all `targets` under one canonical evidence set by local
-    /// re-propagation: recompute upward messages only on the paths from
-    /// evidence cliques to the root, downward messages only on the paths
-    /// from the root to each target's home clique, and reuse every base
-    /// message elsewhere.
+    /// Answer all `targets` under one canonical evidence set by
+    /// demand-driven local re-propagation: compute a message only when a
+    /// target's belief needs it and the evidence changes it (upward
+    /// messages out of subtrees holding evidence, downward messages into
+    /// subtrees missing some of it), memoized across the targets; read
+    /// every other message from the base calibration.
     fn group_posteriors(
         &self,
         evidence: &[(usize, u8)],
@@ -580,101 +594,196 @@ impl JoinTree {
         }
 
         let t0 = std::time::Instant::now();
-        let k = self.cliques.len();
-        // Evidence overlay: clone the hosting cliques' potentials and zero
-        // out every disagreeing row.
-        let mut overlay: Vec<Option<Factor>> = (0..k).map(|_| None).collect();
-        for &(v, val) in evidence {
-            let hc = self.home[v];
-            let f = overlay[hc].get_or_insert_with(|| self.potentials[hc].clone());
-            zero_out(f, v as u32, val);
-        }
-
-        // Dirty = cliques whose subtree contains evidence: exactly the
-        // cliques whose upward message must be recomputed.
-        let mut dirty = vec![false; k];
-        for &(v, _) in evidence {
-            let mut c = self.home[v];
-            loop {
-                if dirty[c] {
-                    break;
+        let mut g = Propagation::new(self, evidence);
+        let answers = targets
+            .iter()
+            .map(|&t| {
+                let hc = self.home[t];
+                self.ensure_down(hc, &mut g, arena);
+                for &ch in &self.cliques[hc].children {
+                    self.ensure_up(ch, &mut g, arena);
                 }
-                dirty[c] = true;
-                match self.cliques[c].parent {
-                    Some(p) => c = p,
-                    None => break,
-                }
-            }
-        }
-
-        // Recompute dirty upward messages, deepest level first; clean
-        // children keep their base message.
-        let mut up: Vec<Option<Factor>> = (0..k).map(|_| None).collect();
-        let mut up_recomputed = 0u64;
-        for depth in (1..self.levels.len()).rev() {
-            for &c in &self.levels[depth] {
-                if dirty[c] {
-                    let merged = self.merged_up(&up);
-                    up[c] = Some(self.up_message(c, Some(&overlay), &merged, arena));
-                    up_recomputed += 1;
-                }
-            }
-        }
-        let up = self.merged_up(&up);
-
-        // Downward messages, computed lazily along each target's
-        // root-path and memoized across the group's targets.
-        let mut down: Vec<Option<Factor>> = (0..k).map(|_| None).collect();
-        let mut down_done = vec![false; k];
-        down_done[0] = true; // the root has no inbound message
-        let mut down_computed = 0u64;
-        let mut answers = Vec::with_capacity(targets.len());
-        for &t in targets {
-            let hc = self.home[t];
-            // Walk up until a memoized clique, then fill downwards.
-            let mut chain = Vec::new();
-            let mut x = hc;
-            while !down_done[x] {
-                chain.push(x);
-                x = self.cliques[x].parent.expect("root is always memoized");
-            }
-            for &c in chain.iter().rev() {
-                down[c] = Some(self.down_message(c, Some(&overlay), &down, &up, arena));
-                down_done[c] = true;
-                down_computed += 1;
-            }
-            let srcs = self.belief_sources(hc, Some(&overlay), &down, &up);
-            let posterior = {
-                let cl = &self.cliques[hc];
-                arena.begin();
-                let slot = arena.alloc(cl.cells, 1.0);
-                let mut buf = arena.take(slot);
-                product_into_slice(&cl.vars, &cl.arities, &srcs, &mut buf);
-                let m = marginalize_onto(&cl.vars, &cl.arities, &buf, &[t as u32]);
-                arena.restore(slot, buf);
+                let m =
+                    g.read(|s| self.message(hc, &self.belief_sources(hc, s), &[t as u32], arena));
                 m.normalized().map(|f| f.values().to_vec())
-            };
-            answers.push(posterior);
-        }
-        // Every non-root clique that was not dirty kept its calibrated
-        // upward message — the reuse the incremental scheme exists for.
-        let up_reused = (k as u64 - 1).saturating_sub(up_recomputed);
-        fastbn_obs::counter!("fastbn.network.jointree.messages_recomputed")
-            .add(up_recomputed + down_computed);
-        fastbn_obs::counter!("fastbn.network.jointree.messages_reused").add(up_reused);
+            })
+            .collect();
+        // `messages_recomputed`: messages this group computed (up + down).
+        // `messages_reused`: base-calibration messages it read instead,
+        // counted once per read (a base message feeding two products
+        // counts twice).
+        fastbn_obs::counter!("fastbn.network.jointree.messages_recomputed").add(g.computed);
+        fastbn_obs::counter!("fastbn.network.jointree.messages_reused").add(g.reused);
         fastbn_obs::histogram!("fastbn.network.jointree.repropagate_us")
             .observe_duration(t0.elapsed());
         answers
     }
 
-    /// Overlay per-group upward messages onto the base calibration: a
-    /// clique's recomputed message wins, every clean clique reuses base.
-    fn merged_up(&self, group_up: &[Option<Factor>]) -> Vec<Option<Factor>> {
-        group_up
-            .iter()
-            .zip(&self.base_up)
-            .map(|(g, b)| g.clone().or_else(|| b.clone()))
-            .collect()
+    /// Make clique `c`'s upward message readable under `g`: a clean
+    /// subtree keeps its base message; otherwise compute it, and first
+    /// every not-yet-computed message of an evidence-holding subtree below
+    /// it (children before parents).
+    fn ensure_up(&self, c: usize, g: &mut Propagation, arena: &mut FactorArena) {
+        let pending = |g: &Propagation, x: usize| g.below[x] > 0 && g.up[x].is_none();
+        if !pending(g, c) {
+            return;
+        }
+        // Iterative post-order, so a deep tree cannot overflow the stack.
+        let mut stack = vec![(c, false)];
+        while let Some((x, children_done)) = stack.pop() {
+            if children_done {
+                g.up[x] = Some(g.read(|s| self.up_message(x, s, arena)));
+                g.computed += 1;
+            } else {
+                stack.push((x, true));
+                let children = &self.cliques[x].children;
+                stack.extend(
+                    children
+                        .iter()
+                        .filter(|&&ch| pending(g, ch))
+                        .map(|&ch| (ch, false)),
+                );
+            }
+        }
+    }
+
+    /// Make the downward message into clique `c` readable under `g`:
+    /// walk up to the nearest clique whose inbound message is known — the
+    /// root, a clique whose subtree holds all the evidence (base message),
+    /// or one computed earlier — then compute the chain back down,
+    /// ensuring each step's sibling messages first.
+    fn ensure_down(&self, c: usize, g: &mut Propagation, arena: &mut FactorArena) {
+        let mut chain = Vec::new();
+        let mut x = c;
+        while let Some(p) = self.cliques[x].parent {
+            if g.below[x] == g.n_evidence_cliques || g.down[x].is_some() {
+                break;
+            }
+            chain.push(x);
+            x = p;
+        }
+        for &x in chain.iter().rev() {
+            let p = self.cliques[x].parent.expect("chain cliques have a parent");
+            for &sib in &self.cliques[p].children {
+                if sib != x {
+                    self.ensure_up(sib, g, arena);
+                }
+            }
+            g.down[x] = Some(g.read(|s| self.down_message(x, s, arena)));
+            g.computed += 1;
+        }
+    }
+}
+
+/// The inputs one product reads: a propagation's evidence-reduced
+/// potentials and recomputed messages where it has them, else the base
+/// calibration's — resolved by reference, never cloned.
+struct Sources<'a> {
+    /// Evidence-reduced potentials (`None`, or out of range: the base).
+    pots: &'a [Option<Factor>],
+    /// Recomputed upward messages (`None`: the base message).
+    up: &'a [Option<Factor>],
+    /// Recomputed downward messages (`None`: the base message).
+    down: &'a [Option<Factor>],
+    /// Base messages read through this view.
+    reused: Cell<u64>,
+}
+
+impl<'a> Sources<'a> {
+    /// The view calibration builds the base messages through: its own
+    /// messages so far, no evidence (the base is still empty).
+    fn calibration(up: &'a [Option<Factor>], down: &'a [Option<Factor>]) -> Self {
+        Self {
+            pots: &[],
+            up,
+            down,
+            reused: Cell::new(0),
+        }
+    }
+
+    /// Message `c` from `own`, else from `base` (counted as reused).
+    ///
+    /// # Panics
+    /// Panics if neither holds it: a message read before it was computed.
+    fn resolve(
+        &self,
+        own: &'a [Option<Factor>],
+        base: &'a [Option<Factor>],
+        c: usize,
+    ) -> &'a Factor {
+        own[c].as_ref().unwrap_or_else(|| {
+            self.reused.set(self.reused.get() + 1);
+            base.get(c)
+                .and_then(Option::as_ref)
+                .expect("message computed before it is read")
+        })
+    }
+}
+
+/// One evidence group's re-propagation state.
+struct Propagation {
+    /// Evidence-reduced potentials of the evidence cliques.
+    pots: Vec<Option<Factor>>,
+    /// Distinct evidence cliques in each clique's subtree. An upward
+    /// message changes iff its `below > 0`; a downward message into `c`
+    /// changes iff `below[c] < n_evidence_cliques`.
+    below: Vec<usize>,
+    /// Distinct cliques holding evidence.
+    n_evidence_cliques: usize,
+    /// Upward messages computed so far (`None`: not needed yet, or base).
+    up: Vec<Option<Factor>>,
+    /// Downward messages computed so far (`None`: not needed yet, or base).
+    down: Vec<Option<Factor>>,
+    /// Messages computed (up + down).
+    computed: u64,
+    /// Base messages read.
+    reused: u64,
+}
+
+impl Propagation {
+    /// Reduce the evidence cliques' potentials (zero every disagreeing
+    /// row, keeping the scope) and count evidence cliques per subtree.
+    fn new(jt: &JoinTree, evidence: &[(usize, u8)]) -> Self {
+        let k = jt.cliques.len();
+        let mut pots: Vec<Option<Factor>> = vec![None; k];
+        let mut below = vec![0usize; k];
+        let mut n_evidence_cliques = 0;
+        for &(v, val) in evidence {
+            let hc = jt.home[v];
+            if pots[hc].is_none() {
+                n_evidence_cliques += 1;
+                let mut c = Some(hc);
+                while let Some(x) = c {
+                    below[x] += 1;
+                    c = jt.cliques[x].parent;
+                }
+            }
+            let f = pots[hc].get_or_insert_with(|| jt.potentials[hc].clone());
+            zero_out(f, v as u32, val);
+        }
+        Self {
+            pots,
+            below,
+            n_evidence_cliques,
+            up: vec![None; k],
+            down: vec![None; k],
+            computed: 0,
+            reused: 0,
+        }
+    }
+
+    /// Run `f` against this propagation's [`Sources`], counting the base
+    /// messages it reads.
+    fn read<R>(&mut self, f: impl FnOnce(&Sources<'_>) -> R) -> R {
+        let s = Sources {
+            pots: &self.pots,
+            up: &self.up,
+            down: &self.down,
+            reused: Cell::new(0),
+        };
+        let out = f(&s);
+        self.reused += s.reused.get();
+        out
     }
 }
 
@@ -978,6 +1087,225 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A view over fully recomputed messages (never falls back to base).
+    fn full<'a>(
+        pots: &'a [Option<Factor>],
+        up: &'a [Option<Factor>],
+        down: &'a [Option<Factor>],
+    ) -> Sources<'a> {
+        Sources {
+            pots,
+            up,
+            down,
+            reused: Cell::new(0),
+        }
+    }
+
+    /// Reference answers with no reuse and no laziness: both passes
+    /// recomputed over every clique under the evidence-reduced potentials,
+    /// then each target's home belief.
+    fn eager_posteriors(
+        jt: &JoinTree,
+        evidence: &[(usize, u8)],
+        targets: &[usize],
+    ) -> Vec<Result<Vec<f64>, InferenceError>> {
+        let k = jt.cliques.len();
+        let mut pots: Vec<Option<Factor>> = vec![None; k];
+        for &(v, val) in evidence {
+            let hc = jt.home[v];
+            zero_out(
+                pots[hc].get_or_insert_with(|| jt.potentials[hc].clone()),
+                v as u32,
+                val,
+            );
+        }
+        let mut arena = FactorArena::new();
+        let mut up: Vec<Option<Factor>> = vec![None; k];
+        let mut down: Vec<Option<Factor>> = vec![None; k];
+        for ids in jt.levels[1..].iter().rev() {
+            for &c in ids {
+                let m = jt.up_message(c, &full(&pots, &up, &down), &mut arena);
+                up[c] = Some(m);
+            }
+        }
+        for ids in &jt.levels[1..] {
+            for &c in ids {
+                let m = jt.down_message(c, &full(&pots, &up, &down), &mut arena);
+                down[c] = Some(m);
+            }
+        }
+        let s = full(&pots, &up, &down);
+        let answers = targets
+            .iter()
+            .map(|&t| {
+                let hc = jt.home[t];
+                let m = jt.message(hc, &jt.belief_sources(hc, &s), &[t as u32], &mut arena);
+                m.normalized().map(|f| f.values().to_vec())
+            })
+            .collect();
+        assert_eq!(s.reused.get(), 0, "the oracle reads no base message");
+        answers
+    }
+
+    /// Evidence for one oracle case, drawn from `pick` by `shape`:
+    /// 0 — 0–3 random items; 1 — two variables of one clique; 2 — a
+    /// variable of the root clique; 3 — a variable whose home clique is
+    /// home to another variable too (so some target lives in it).
+    fn oracle_evidence(jt: &JoinTree, shape: usize, pick: u64) -> Vec<(usize, u8)> {
+        let mut state = pick;
+        let mut draw = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % bound as u64) as usize
+        };
+        let vars: Vec<usize> = match shape {
+            0 => (0..draw(4)).map(|_| draw(jt.n_vars)).collect(),
+            1 => {
+                let wide: Vec<&Clique> = jt.cliques.iter().filter(|c| c.vars.len() >= 2).collect();
+                let c = wide[draw(wide.len())];
+                let i = draw(c.vars.len());
+                let j = (i + 1 + draw(c.vars.len() - 1)) % c.vars.len();
+                vec![c.vars[i] as usize, c.vars[j] as usize]
+            }
+            2 => {
+                let root = &jt.cliques[0].vars;
+                vec![root[draw(root.len())] as usize]
+            }
+            _ => {
+                let shared: Vec<usize> = (0..jt.n_vars)
+                    .filter(|&v| (0..jt.n_vars).any(|u| u != v && jt.home[u] == jt.home[v]))
+                    .collect();
+                vec![shared[draw(shared.len())]]
+            }
+        };
+        let mut ev: Vec<(usize, u8)> = vars
+            .into_iter()
+            .map(|v| (v, draw(jt.arities[v]) as u8))
+            .collect();
+        ev.sort_unstable();
+        ev.dedup_by_key(|e| e.0);
+        ev
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Demand-driven re-propagation answers every target bit for bit
+        /// like the eager oracle, whatever messages it skipped or reused.
+        #[test]
+        fn posteriors_match_the_eager_oracle_bitwise(
+            (n, extra, seed, shape, pick) in (4usize..=12, 0usize..=8, 1u64..400, 0usize..4, 0u64..u64::MAX)
+        ) {
+            let edges = (n - 1 + extra).min(n * (n - 1) / 2);
+            let net = generate_network(&NetworkSpec::small("oracle", n, edges), seed);
+            let jt = JoinTree::build(&net, 1);
+            let evidence = oracle_evidence(&jt, shape, pick);
+            let targets: Vec<usize> = (0..n).filter(|t| evidence.iter().all(|e| e.0 != *t)).collect();
+            // One group holding every target (so memoized messages are
+            // shared across them) next to an evidence-free group.
+            let mut queries: Vec<Query> = targets
+                .iter()
+                .map(|&t| Query::with_evidence(t, evidence.clone()))
+                .collect();
+            queries.extend((0..n).map(Query::marginal));
+            let answers = jt.posteriors(&queries);
+            let expected = eager_posteriors(&jt, &evidence, &targets);
+            let marginals = eager_posteriors(&jt, &[], &(0..n).collect::<Vec<_>>());
+            for (a, e) in answers.iter().zip(expected.iter().chain(&marginals)) {
+                match (a, e) {
+                    (Ok(a), Ok(e)) => {
+                        let a_bits: Vec<u64> = a.probs.iter().map(|p| p.to_bits()).collect();
+                        let e_bits: Vec<u64> = e.iter().map(|p| p.to_bits()).collect();
+                        proptest::prop_assert_eq!(a_bits, e_bits, "evidence {:?}", evidence);
+                    }
+                    (Err(a), Err(e)) => proptest::prop_assert_eq!(a, e),
+                    _ => proptest::prop_assert!(false, "feasibility diverged: {:?} vs {:?}", a, e),
+                }
+            }
+        }
+    }
+
+    /// Two arity-12 roots parenting `m` arity-12 children: every clique is
+    /// `{a, b, c_i}` (1728 cells), and all but the root clique hang off it
+    /// on level 1 — enough cells per level to cross `TEAM_MIN_CELLS`.
+    fn wide_fan(m: usize) -> BayesNet {
+        const R: usize = 12;
+        let n = m + 2;
+        let edges: Vec<(usize, usize)> = (2..n).flat_map(|c| [(0, c), (1, c)]).collect();
+        let row = |salt: usize| -> Vec<f64> {
+            let w: Vec<f64> = (0..R)
+                .map(|s| 1.0 + ((salt * 7 + s * 13) % 11) as f64)
+                .collect();
+            let total: f64 = w.iter().sum();
+            w.into_iter().map(|x| x / total).collect()
+        };
+        let mut cpts = vec![
+            Cpt::new(R as u8, vec![], vec![], row(1)).unwrap(),
+            Cpt::new(R as u8, vec![], vec![], row(2)).unwrap(),
+        ];
+        for c in 2..n {
+            let table: Vec<f64> = (0..R * R).flat_map(|cfg| row(cfg + 3 * c)).collect();
+            cpts.push(Cpt::new(R as u8, vec![0, 1], vec![R as u8, R as u8], table).unwrap());
+        }
+        let names = (0..n).map(|v| format!("v{v}")).collect();
+        BayesNet::new("wide_fan", Dag::from_edges(n, &edges), cpts, names)
+    }
+
+    #[test]
+    fn work_past_the_team_constant_fans_out_and_stays_bitwise() {
+        let net = wide_fan(64);
+        let queries: Vec<Query> = (0..8)
+            .map(|i| Query::with_evidence(2 + i, vec![(2 + (i + 3) % 64, i as u8)]))
+            .chain([
+                Query::with_evidence(5, vec![(0, 4)]),
+                Query::with_evidence(1, vec![(0, 4), (9, 2)]),
+                Query::marginal(3),
+            ])
+            .collect();
+        let evidence_groups = 10;
+        let reference_tree = JoinTree::build(&net, 1);
+        let reference = reference_tree.posteriors(&queries);
+        for threads in [2usize, 4, 8] {
+            let jt = JoinTree::build(&net, threads);
+            let level = &jt.levels[1];
+            let level_cells: usize = level.iter().map(|&c| jt.cliques[c].cells).sum();
+            assert!(jt.fans_out(level.len(), level_cells), "level 1 runs inline");
+            let batch_cells = evidence_groups * jt.stats().total_belief_cells;
+            assert!(
+                jt.fans_out(evidence_groups + 1, batch_cells),
+                "batch runs inline"
+            );
+            for (a, b) in jt.beliefs.iter().zip(&reference_tree.beliefs) {
+                let bits = |f: &Factor| f.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "threads={threads}: beliefs diverged");
+            }
+            for (a, b) in jt.posteriors(&queries).iter().zip(&reference) {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                for (x, y) in a.probs.iter().zip(&b.probs) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serving_sized_work_runs_inline() {
+        let net = crate::zoo::by_name("alarm", 3).unwrap();
+        let jt = JoinTree::build(&net, 2);
+        let cells = |ids: &[usize]| ids.iter().map(|&c| jt.cliques[c].cells).sum();
+        for ids in &jt.levels {
+            assert!(!jt.fans_out(ids.len(), cells(ids)));
+        }
+        let all: Vec<usize> = (0..jt.cliques.len()).collect();
+        assert!(!jt.fans_out(all.len(), cells(&all)));
+        // A 16-query batch has at most 16 evidence groups; the 1000-query
+        // batch of `benches/infer.rs` has 37.
+        let tbc = jt.stats().total_belief_cells;
+        assert!(!jt.fans_out(16, 16 * tbc));
+        assert!(jt.fans_out(38, 37 * tbc));
     }
 
     #[test]
